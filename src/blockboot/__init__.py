@@ -11,10 +11,8 @@ associated Monte Carlo experiments at configurable scale.
 __version__ = "0.1.0"
 
 from .empirical import (
-    WeightedSample,
     block_averaged_cdf,
     block_averaged_quantile,
-    block_weighted_sample,
     block_weights,
     empirical_cdf,
     order_stat_index,
@@ -35,7 +33,6 @@ from .models import (
     simulate_poly_mixing,
     simulate_squared_arma23,
     squared_arma23_model,
-    standard_normal_stream,
 )
 from .resample import (
     BlockPlan,
@@ -57,7 +54,6 @@ from .tuning import (
     plan_from_constants,
     select_plan,
     subsample_starts,
-    tuning_error,
 )
 
 __all__ = [
@@ -73,11 +69,9 @@ __all__ = [
     "SelectionResult",
     "TimeSeries",
     "TuneConfig",
-    "WeightedSample",
     "arma11_model",
     "block_averaged_cdf",
     "block_averaged_quantile",
-    "block_weighted_sample",
     "block_weights",
     "bootstrap_quantile_distribution",
     "cdf_deviation_prob",
@@ -103,9 +97,7 @@ __all__ = [
     "simulate_poly_mixing",
     "simulate_squared_arma23",
     "squared_arma23_model",
-    "standard_normal_stream",
     "subseed",
     "subsample_starts",
     "substream",
-    "tuning_error",
 ]

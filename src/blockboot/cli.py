@@ -3,12 +3,14 @@
 Each subcommand reads a YAML (or JSON) config file describing an
 :class:`~blockboot.harness.ExperimentConfig`, runs the experiment, and writes
 plot-ready CSV files plus a ``manifest.json`` echoing the configuration.
-Exit codes: 0 success, 2 config error, 3 resource limit exceeded.
+Exit codes: 0 success, 2 config error (the message names the key),
+3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -17,41 +19,121 @@ import yaml
 from . import harness
 from .models import model_from_name
 from .resample import ResourceLimitError
+from .tuning import default_subsample_len, plan_from_constants
 
 
 class ConfigError(Exception):
     """A config file is missing, malformed, or holds an unknown/invalid key."""
 
 
-_COMMON_KEYS = {
-    "experiment",
-    "model",
-    "n",
-    "n_list",
-    "p",
-    "x",
-    "y",
-    "alpha",
-    "kind",
-    "grid",
-    "replications",
-    "bootstrap_samples",
-    "ref_replications",
-    "ref_value",
-    "ref_values",
-    "exact",
-    "c1_grid",
-    "c2_grid",
-    "subsample_len",
-    "subsample_count",
-    "rho",
-    "seed",
-    "workers",
-    "out",
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError("must be a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _integer(value) -> int:
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError("must be an integer")
+    return value if isinstance(value, int) else int(number)
+
+
+def _checked(coerce, ok, message):
+    """Coercion ``coerce`` followed by the check ``ok`` on its result."""
+
+    def checked(value):
+        result = coerce(value)
+        if not ok(result):
+            raise ValueError(message)
+        return result
+
+    return checked
+
+
+def _instance(kind, message):
+    return _checked(lambda v: v, lambda v: isinstance(v, kind), message)
+
+
+def _items(item, ok=bool, message="must be a nonempty list"):
+    """Coercion of a list through ``item`` into a tuple, then the check ``ok``."""
+    return _checked(lambda value: tuple(item(v) for v in _list(value)), ok, message)
+
+
+_flag = _instance(bool, "must be true or false")
+_text = _instance(str, "must be a string")
+_list = _instance((list, tuple), "must be a list")
+_dict = _instance(dict, "must be a mapping")
+_count = _checked(_integer, lambda v: v >= 1, "must be an integer >= 1")
+_subsample_count = _checked(_integer, lambda v: v == 0 or v >= 2, "must be 0 (all subsamples) or an integer >= 2")
+_positive = _checked(_number, lambda v: v > 0.0, "must be positive")
+_open_unit = _checked(_number, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_probability = _checked(_number, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_kind = _checked(_text, lambda v: v in ("quantile", "cdf"), "must be 'quantile' or 'cdf'")
+_pair = _items(_count, lambda v: len(v) == 2, "must be a pair of integers >= 1")
+
+
+def _ref_values(value) -> tuple:
+    return tuple(sorted((_count(k), _probability(v)) for k, v in _dict(value).items()))
+
+
+def _model(value):
+    fields = _fields(_dict(value), _MODEL_KEYS, "model.")
+    if "name" not in fields:
+        raise ConfigError("missing required config key: model.'name'")
+    return model_from_name(**fields)
+
+
+def _grid(value) -> harness.GridSpec:
+    fields = _fields(_dict(value), _GRID_KEYS, "grid.")
+    for key in ("b", "ell"):
+        if key in fields:
+            fields[f"{key}_min"], fields[f"{key}_max"] = fields.pop(key)
+    return harness.GridSpec(**fields)
+
+
+_MODEL_KEYS = {"name": ("name", _text), "nu": ("nu", _number), "n_terms": ("n_terms", _count)}
+
+_GRID_KEYS = {
+    "b": ("b", _pair),
+    "ell": ("ell", _pair),
+    "ell_step": ("ell_step", _count),
+    "include_mbb": ("include_mbb", _flag),
+    "cap_to_n": ("cap_to_n", _flag),
+    "cells": ("cells", _items(_pair)),
 }
 
-_GRID_KEYS = {"b", "ell", "ell_step", "include_mbb", "cap_to_n", "cells"}
-_MODEL_KEYS = {"name", "nu", "n_terms"}
+# Config key -> (ExperimentConfig field, coercion).  Keys with field None are
+# read by the CLI itself.  Absent keys take the dataclass defaults.
+_KEYS = {
+    "experiment": (None, _text),
+    "kind": (None, _kind),
+    "out": (None, _text),
+    "model": ("model", _model),
+    "n": ("n", _count),
+    "n_list": ("n_list", _items(_count)),
+    "p": ("p", _open_unit),
+    "x": ("x", _number),
+    "y": ("y", _number),
+    "alpha": ("alpha", _open_unit),
+    "grid": ("grid", _grid),
+    "replications": ("n_reps", _count),
+    "bootstrap_samples": ("n_boot", _count),
+    "ref_replications": ("ref_sims", _count),
+    "ref_value": ("ref_value", _probability),
+    "ref_values": ("ref_values", _ref_values),
+    "exact": ("exact", _flag),
+    "c1_grid": ("c1_grid", _items(_positive)),
+    "c2_grid": ("c2_grid", _items(_positive)),
+    "subsample_len": ("subsample_len", _count),
+    "subsample_count": ("subsample_count", _subsample_count),
+    "rho": ("rho", _positive),
+    "seed": ("master_seed", _integer),
+    "workers": ("workers", _count),
+}
 
 _REQUIRED = {
     "reference": ("model", "x"),
@@ -63,6 +145,34 @@ _REQUIRED = {
 }
 
 EXPERIMENTS = tuple(_REQUIRED)
+
+# Experiments with an exact (enumeration) mode; the others reject `exact: true`.
+_EXACT_EXPERIMENTS = ("mse-grid", "rate-study")
+
+# Grid experiments: the harness function and the CSV it fills.
+_GRIDS = {
+    "mse-grid": ("mse_grid", "mse_grid.csv"),
+    "cdf-mse-grid": ("cdf_mse_grid", "cdf_mse_grid.csv"),
+    "coverage-grid": ("coverage_grid", "coverage_grid.csv"),
+}
+
+
+def _fields(raw: dict, table: dict, prefix: str = "") -> dict:
+    """Coerce every set key of ``raw`` through ``table`` into ``{field: value}``."""
+    fields = {}
+    for key, value in raw.items():
+        if key not in table:
+            raise ConfigError(f"unknown config key: {prefix}{key!r}")
+        field, coerce = table[key]
+        if value is None:
+            continue
+        try:
+            coerced = coerce(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {prefix}{key!r} {exc}, got {value!r}") from exc
+        if field is not None:
+            fields[field] = coerced
+    return fields
 
 
 def _load_config(path: str) -> dict:
@@ -78,159 +188,115 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _check_keys(raw: dict) -> None:
-    for key in raw:
-        if key not in _COMMON_KEYS:
-            raise ConfigError(f"unknown config key: {key!r}")
-    grid = raw.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            raise ConfigError("config key 'grid' must be a mapping")
-        for key in grid:
-            if key not in _GRID_KEYS:
-                raise ConfigError(f"unknown config key: grid.{key!r}")
-    model = raw.get("model")
+def _with_overrides(raw: dict, args) -> dict:
+    """``raw`` with the command-line overrides applied."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    model = {"name": raw["model"]} if isinstance(raw.get("model"), str) else raw.get("model")
     if isinstance(model, dict):
-        for key in model:
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"unknown config key: model.{key!r}")
+        model = {**model, **{key: given[key] for key in ("nu", "n_terms") if key in given}}
+    return {**raw, **{key: given[key] for key in ("seed", "workers", "out") if key in given}, "model": model}
 
 
-def _require(raw: dict, experiment: str) -> None:
-    for key in _REQUIRED[experiment]:
-        if raw.get(key) is None:
-            raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
-
-
-def _coerce(raw: dict, key: str, kind, default=None):
-    value = raw.get(key, default)
-    if value is None:
-        return None
+def _degenerate(n: int, key: str, c: float) -> bool:
+    # A pair (c1, c2) gives a valid plan iff each constant does with the other
+    # set to 1, since floor(n**(1/3)) is a valid block count and length.
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
+        plan_from_constants(n, *((c, 1.0) if key == "c1_grid" else (1.0, c)))
+    except ValueError:
+        return True
+    return False
 
 
-def _model_from_config(raw: dict, args):
-    model = raw["model"]
-    if isinstance(model, str):
-        model = {"name": model}
-    if not isinstance(model, dict):
-        raise ConfigError("config key 'model' must be a preset name or a mapping with 'name'")
-    if "name" not in model:
-        raise ConfigError("missing required config key: model.'name'")
-    nu = args.nu if args.nu is not None else model.get("nu")
-    n_terms = args.n_terms if args.n_terms is not None else model.get("n_terms")
-    try:
-        return model_from_name(model["name"], nu=None if nu is None else float(nu), n_terms=None if n_terms is None else int(n_terms))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _check_tune(cfg: harness.ExperimentConfig) -> None:
+    m = default_subsample_len(cfg.n) if cfg.subsample_len is None else cfg.subsample_len
+    if m > cfg.n:
+        raise ConfigError(f"config key 'subsample_len' must not exceed n={cfg.n}, got {m}")
+    for key, values in (("c1_grid", cfg.c1_grid), ("c2_grid", cfg.c2_grid)):
+        bad = [c for c in values if _degenerate(cfg.n, key, c)]
+        if bad:
+            raise ConfigError(f"config key {key!r} holds {bad}, which give no valid plan at n={cfg.n}")
+        if all(_degenerate(m, key, c) for c in values):
+            raise ConfigError(f"config key {key!r} gives no valid plan at the subsample length {m}")
 
 
-def _grid_from_config(raw: dict) -> harness.GridSpec:
-    grid = raw.get("grid")
-    if grid is None:
-        return harness.GridSpec()
-    kwargs = {}
-    if "b" in grid:
-        lo, hi = grid["b"]
-        kwargs["b_min"], kwargs["b_max"] = int(lo), int(hi)
-    if "ell" in grid:
-        lo, hi = grid["ell"]
-        kwargs["ell_min"], kwargs["ell_max"] = int(lo), int(hi)
-    if "ell_step" in grid:
-        kwargs["ell_step"] = int(grid["ell_step"])
-    if "include_mbb" in grid:
-        kwargs["include_mbb"] = bool(grid["include_mbb"])
-    if "cap_to_n" in grid:
-        kwargs["cap_to_n"] = bool(grid["cap_to_n"])
-    if "cells" in grid and grid["cells"] is not None:
-        kwargs["cells"] = tuple((int(b), int(ell)) for b, ell in grid["cells"])
-    try:
-        return harness.GridSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key 'grid' is invalid: {exc}") from exc
+def _experiment(raw: dict, args) -> str:
+    """The experiment to run: the subcommand, or the ``experiment`` key under ``run``."""
+    declared = raw.get("experiment")
+    experiment = declared if args.command == "run" else args.command
+    if experiment is None:
+        raise ConfigError("missing required config key: 'experiment' (needed by run)")
+    if declared is not None and declared != experiment:
+        raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    return experiment
 
 
 def build_config(raw: dict, args) -> harness.ExperimentConfig:
-    """Assemble an ExperimentConfig from a parsed config mapping and CLI overrides."""
-    _check_keys(raw)
-    if raw.get("model") is None:
-        raise ConfigError("missing required config key: 'model'")
-    ref_values = raw.get("ref_values") or {}
-    if not isinstance(ref_values, dict):
-        raise ConfigError("config key 'ref_values' must map sample sizes to values")
-    seed = args.seed if args.seed is not None else _coerce(raw, "seed", int, 0)
-    workers = args.workers if args.workers is not None else _coerce(raw, "workers", int, 1)
-    try:
-        return harness.ExperimentConfig(
-            model=_model_from_config(raw, args),
-            n=_coerce(raw, "n", int, 200),
-            n_list=tuple(int(v) for v in raw.get("n_list") or ()),
-            p=_coerce(raw, "p", float, 0.5),
-            x=_coerce(raw, "x", float, 0.0),
-            y=_coerce(raw, "y", float),
-            alpha=_coerce(raw, "alpha", float),
-            grid=_grid_from_config(raw),
-            n_reps=_coerce(raw, "replications", int, 2000),
-            n_boot=_coerce(raw, "bootstrap_samples", int, 2000),
-            ref_sims=_coerce(raw, "ref_replications", int, 1_000_000),
-            ref_value=_coerce(raw, "ref_value", float),
-            ref_values=tuple(sorted((int(k), float(v)) for k, v in ref_values.items())),
-            exact=bool(raw.get("exact", False)),
-            c1_grid=tuple(float(v) for v in raw.get("c1_grid") or (0.5, 0.75, 1.0, 1.5, 2.0)),
-            c2_grid=tuple(float(v) for v in raw.get("c2_grid") or (0.5, 0.75, 1.0, 1.5, 2.0)),
-            subsample_len=_coerce(raw, "subsample_len", int),
-            subsample_count=_coerce(raw, "subsample_count", int, 20),
-            rho=_coerce(raw, "rho", float, 2.0),
-            master_seed=seed,
-            workers=max(1, workers),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _out_dir(raw: dict, args) -> str:
-    out = args.out if args.out is not None else raw.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    """Assemble and validate an ExperimentConfig from a parsed config mapping and CLI overrides."""
+    experiment = _experiment(raw, args)
+    fields = _fields(_with_overrides(raw, args), _KEYS)
+    for key in _REQUIRED.get(experiment, ("model",)):
+        if raw.get(key) is None:
+            raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
+    cfg = harness.ExperimentConfig(**fields)
+    for n in (cfg.n, *cfg.n_list):
+        try:
+            cfg.grid.plans(n)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'grid' is invalid at n={n}: {exc}") from exc
+    if cfg.exact and experiment not in _EXACT_EXPERIMENTS:
+        raise ConfigError(f"config key 'exact' is honoured only by {' and '.join(_EXACT_EXPERIMENTS)}, not by {experiment}")
+    if experiment == "rate-study" and len(cfg.n_list) < 3:
+        raise ConfigError("config key 'n_list' must hold at least three sample sizes")
+    if experiment == "tune":
+        _check_tune(cfg)
+    return cfg
 
 
 def _run_reference(cfg, raw, out):
-    kind = raw.get("kind", "quantile")
-    if kind not in ("quantile", "cdf"):
-        raise ConfigError(f"config key 'kind' must be 'quantile' or 'cdf', got {kind!r}")
+    kind = raw.get("kind") or "quantile"
     if kind == "cdf" and cfg.y is None:
         raise ConfigError("missing required config key: 'y' (needed by reference kind='cdf')")
     cache = harness.ReferenceCache(os.path.join(out, "reference_cache.json"))
     ref = cache.get_or_compute(cfg.model, cfg.n, kind, cfg.x, y=cfg.y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
     path = os.path.join(out, "reference.csv")
-    harness.write_reference_csv(path, cfg.model.kind, cfg.n, kind, cfg.x, cfg.y, ref)
+    header = ("model", "n", "kind", "x", "y", "value", "stderr", "n_sims")
+    harness.write_csv(path, header, [(cfg.model.kind, cfg.n, kind, cfg.x, cfg.y, ref.value, ref.stderr, ref.n_sims)])
     print(f"reference {ref.value:.6g} (stderr {ref.stderr:.3g}, {ref.n_sims} sims) -> {path}")
     return [path]
 
 
-def _run_grid(cfg, out, runner, filename, label):
-    result = runner(cfg)
+def _run_grid(cfg, out, experiment):
+    name, filename = _GRIDS[experiment]
+    result = getattr(harness, name)(cfg)
     path = os.path.join(out, filename)
     harness.write_grid_csv(path, result)
     best = result.min_row()
-    print(f"{label}: {len(result.rows)} cells, min {best.value:.6g} at (b={best.n_blocks}, ell={best.block_length}) -> {path}")
+    print(f"{experiment}: {len(result.rows)} cells, min {best.value:.6g} at (b={best.n_blocks}, ell={best.block_length}) -> {path}")
     return [path]
 
 
 def _run_tune(cfg, out):
     result = harness.adaptive_study(cfg)
-    err_path = os.path.join(out, "tune_err_grid.csv")
-    harness.write_err_table_csv(err_path, harness.err_table_rows(result.cell_rows))
-    study_path = os.path.join(out, "tune_study.csv")
-    harness.write_tune_study_csv(study_path, result)
+    err_rows, study_rows = [], []
+    for r in result.cell_rows:
+        cell = (r.c1, r.c2, r.n_blocks, r.block_length)
+        err_rows.append((*cell, r.err_mean))
+        study_rows += [
+            (*cell, "mse", r.mse, r.mse_stderr),
+            (*cell, "err_mean", r.err_mean, 0),
+            (*cell, "selected_frac", r.selected_count / result.n_reps, 0),
+        ]
+    study_rows.append((None, None, None, None, "adaptive_mse", result.adaptive_mse, result.adaptive_stderr))
+    paths = [os.path.join(out, "tune_err_grid.csv"), os.path.join(out, "tune_study.csv")]
+    harness.write_csv(paths[0], ("c1", "c2", "b_n", "ell_n", "err"), err_rows)
+    harness.write_csv(paths[1], ("c1", "c2", "b", "ell", "metric", "value", "stderr"), study_rows)
     print(
         f"tune: adaptive mse {result.adaptive_mse:.6g} vs fixed-cell range "
-        f"[{result.best_cell_mse():.6g}, {result.worst_cell_mse():.6g}] -> {study_path}"
+        f"[{result.best_cell_mse():.6g}, {result.worst_cell_mse():.6g}] -> {paths[1]}"
     )
-    return [err_path, study_path]
+    return paths
 
 
 def _run_rate(cfg, out):
@@ -242,17 +308,13 @@ def _run_rate(cfg, out):
 
 def run_experiment(experiment: str, raw: dict, args) -> int:
     """Dispatch one experiment; returns the written output paths."""
-    _require(raw, experiment)
     cfg = build_config(raw, args)
-    out = _out_dir(raw, args)
-    if experiment == "reference":
+    out = _with_overrides(raw, args).get("out") or "."
+    os.makedirs(out, exist_ok=True)
+    if experiment in _GRIDS:
+        outputs = _run_grid(cfg, out, experiment)
+    elif experiment == "reference":
         outputs = _run_reference(cfg, raw, out)
-    elif experiment == "mse-grid":
-        outputs = _run_grid(cfg, out, harness.mse_grid, "mse_grid.csv", "mse-grid")
-    elif experiment == "cdf-mse-grid":
-        outputs = _run_grid(cfg, out, harness.cdf_mse_grid, "cdf_mse_grid.csv", "cdf-mse-grid")
-    elif experiment == "coverage-grid":
-        outputs = _run_grid(cfg, out, harness.coverage_grid, "coverage_grid.csv", "coverage-grid")
     elif experiment == "tune":
         outputs = _run_tune(cfg, out)
     elif experiment == "rate-study":
@@ -281,19 +343,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         raw = _load_config(args.config)
-        _check_keys(raw)
-        if args.command == "run":
-            experiment = raw.get("experiment")
-            if experiment is None:
-                raise ConfigError("missing required config key: 'experiment' (needed by run)")
-            if experiment not in EXPERIMENTS:
-                raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-        else:
-            experiment = args.command
-            declared = raw.get("experiment")
-            if declared is not None and declared != experiment:
-                raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
-        return run_experiment(experiment, raw, args)
+        return run_experiment(_experiment(raw, args), raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

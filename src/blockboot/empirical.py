@@ -16,7 +16,6 @@ applied anywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "block_weight_counts",
     "block_averaged_cdf",
     "block_averaged_quantile",
-    "WeightedSample",
-    "block_weighted_sample",
 ]
 
 # Relative nudge guarding ceil/floor of float products (e.g. 10 * 0.1 or an
@@ -130,31 +127,3 @@ def block_averaged_quantile(series, block_length: int, p: float) -> float:
     cum = np.cumsum(counts[order])
     k = order_stat_index(denom, p)
     return float(values[order][np.searchsorted(cum, k, side="left")])
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Sorted observations with nonnegative weights summing to one."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if values.shape != weights.shape or values.ndim != 1:
-            raise ValueError("values and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("values must be nondecreasing")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-
-
-def block_weighted_sample(series, block_length: int) -> WeightedSample:
-    """Sorted-weight representation of the block-averaged empirical CDF."""
-    values = as_values(series)
-    weights = block_weights(values.size, block_length)
-    order = np.argsort(values, kind="stable")
-    return WeightedSample(values=values[order], weights=weights[order])

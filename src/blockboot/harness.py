@@ -15,6 +15,7 @@ that rectangle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -41,7 +42,6 @@ __all__ = [
     "RateResult",
     "AdaptiveResult",
     "ReferenceCache",
-    "mbb_plan",
     "reference_value",
     "mse_grid",
     "coverage_grid",
@@ -53,11 +53,8 @@ __all__ = [
     "cell_seed",
     "reference_seed",
     "tuning_replication_seed",
+    "write_csv",
     "write_grid_csv",
-    "write_reference_csv",
-    "write_err_table_csv",
-    "err_table_rows",
-    "write_tune_study_csv",
     "write_rate_csvs",
     "write_manifest",
 ]
@@ -69,6 +66,7 @@ _TAG_TUNE = 3
 
 _REP_CHUNK = 32
 _REF_CHUNK = 10_000
+_MAX_CELLS = 10**6
 
 
 def replication_seed(master_seed: int, rep: int) -> int:
@@ -89,11 +87,6 @@ def reference_seed(master_seed: int, chunk_index: int) -> int:
 def tuning_replication_seed(master_seed: int, rep: int) -> int:
     """Master seed handed to the plan-selection procedure in replication ``rep``."""
     return subseed(master_seed, _TAG_TUNE, rep)
-
-
-def mbb_plan(n: int, block_length: int) -> BlockPlan:
-    """Moving-block plan for sample size ``n``: ``floor(n/ell)`` blocks of length ``ell``."""
-    return BlockPlan.mbb(n, block_length)
 
 
 @dataclass(frozen=True)
@@ -120,24 +113,26 @@ class GridSpec:
     cells: tuple | None = None
 
     def plans(self, n: int) -> list[BlockPlan]:
+        """The grid's plans at sample size ``n``; every block length is at most ``n``."""
         if self.cells is not None:
             plans = [BlockPlan(int(b), int(ell)) for b, ell in self.cells]
             if not plans:
                 raise ValueError("explicit cell list is empty")
+            if max(p.block_length for p in plans) > n:
+                raise ValueError(f"a cell's block length exceeds n={n}")
             return plans
         plans = []
-        lengths = [ell for ell in range(self.ell_min, self.ell_max + 1, self.ell_step) if ell <= n]
+        lengths = range(self.ell_min, min(self.ell_max, n) + 1, self.ell_step)
+        b_span = (min(self.b_max, n // self.ell_min) if self.cap_to_n else self.b_max) - self.b_min + 1
+        if len(lengths) * b_span > _MAX_CELLS:
+            raise ValueError(f"grid holds more than {_MAX_CELLS} cells")
         for ell in lengths:
             b_top = min(self.b_max, n // ell) if self.cap_to_n else self.b_max
             for b in range(self.b_min, b_top + 1):
                 plans.append(BlockPlan(b, ell))
         if self.include_mbb:
             seen = {(p.n_blocks, p.block_length) for p in plans}
-            for ell in lengths:
-                b = n // ell
-                if b >= 1 and (b, ell) not in seen:
-                    plans.append(BlockPlan(b, ell))
-                    seen.add((b, ell))
+            plans += [BlockPlan.mbb(n, ell) for ell in lengths if (n // ell, ell) not in seen]
         if not plans:
             raise ValueError(f"grid is empty for n={n}")
         return plans
@@ -145,7 +140,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings shared by all experiments; unused fields are ignored.
+    """Settings shared by all experiments.
 
     ``n_reps`` and ``n_boot`` default to a desk-scale 2000/2000;
     ``ref_sims`` to one million.  ``ref_value`` (or ``ref_values`` keyed by
@@ -166,7 +161,6 @@ class ExperimentConfig:
     ref_value: float | None = None
     ref_values: tuple = ()
     exact: bool = False
-    exact_cap: int = 10**6
     c1_grid: tuple = (0.5, 0.75, 1.0, 1.5, 2.0)
     c2_grid: tuple = (0.5, 0.75, 1.0, 1.5, 2.0)
     subsample_len: int | None = None
@@ -200,9 +194,6 @@ class GridRow:
 class GridResult:
     rows: tuple
     meta: dict
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [(r.n_blocks, r.block_length) for r in self.rows]
 
     def min_row(self, where=None) -> GridRow:
         candidates = [r for r in self.rows if where is None or where(r)]
@@ -258,18 +249,12 @@ def _run_chunked(worker, payload, n_items: int, workers: int, chunk: int):
     Chunk boundaries depend only on ``n_items``, so float accumulations
     combined in order are bit-identical for every worker count.
     """
-    bounds = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    tasks = [(worker, payload, lo, hi) for lo, hi in bounds]
+    tasks = [(payload, lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
     if workers <= 1 or len(tasks) == 1:
-        return [worker(payload, lo, hi) for _, _, lo, hi in tasks]
+        return [worker(*task) for task in tasks]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        return pool.map(_invoke_chunk, tasks)
-
-
-def _invoke_chunk(task):
-    worker, payload, lo, hi = task
-    return worker(payload, lo, hi)
+        return pool.starmap(worker, tasks)
 
 
 def _reference_chunk(payload, lo, hi):
@@ -297,10 +282,6 @@ def reference_value(model: ModelSpec, n: int, kind: str, x: float, y: float | No
 
     Returns the estimate with its binomial standard error.
     """
-    return _reference_value(model, n, kind, x, y=y, p=p, n_sims=n_sims, seed=seed, workers=workers)
-
-
-def _reference_value(model, n, kind, x, y, p, n_sims, seed, workers) -> RefResult:
     if kind not in ("quantile", "cdf"):
         raise ValueError(f"unknown reference kind {kind!r}")
     if kind == "cdf" and y is None:
@@ -318,91 +299,95 @@ def _reference_value(model, n, kind, x, y, p, n_sims, seed, workers) -> RefResul
 
 
 def _resolve_reference(cfg: ExperimentConfig, kind: str) -> RefResult:
-    if cfg.ref_value is not None:
-        return RefResult(value=float(cfg.ref_value), stderr=0.0, n_sims=0)
-    for n_key, value in cfg.ref_values:
-        if int(n_key) == cfg.n:
-            return RefResult(value=float(value), stderr=0.0, n_sims=0)
+    given = cfg.ref_value if cfg.ref_value is not None else {int(k): v for k, v in cfg.ref_values}.get(cfg.n)
+    if given is not None:
+        return RefResult(value=float(given), stderr=0.0, n_sims=0)
     return reference_value(cfg.model, cfg.n, kind, cfg.x, y=cfg.y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
 
 
-def _mse_chunk(payload, lo, hi):
-    model, n, p, x, plans, n_boot, seed, g_ref, exact, exact_cap = payload
-    s2 = np.zeros(len(plans))
-    s4 = np.zeros(len(plans))
+def _add(total, sums):
+    return sums if total is None else tuple(t + s for t, s in zip(total, sums))
+
+
+def _replicate_chunk(task, lo, hi):
+    cfg, per_rep, args = task
+    total = None
     for rep in range(lo, hi):
-        series = simulate_batch(model, n, 1, substream(replication_seed(seed, rep)))[0]
-        for ci, plan in enumerate(plans):
-            if exact:
-                estimate = exact_quantile_distribution(series, plan, p, max_tuples=exact_cap).cdf(x)
-            else:
-                rp = ResamplePlan(plan, n_boot, cell_seed(seed, ci, rep))
-                estimate = quantile_deviation_prob(series, rp, p, x)
-            d2 = (estimate - g_ref) ** 2
-            s2[ci] += d2
-            s4[ci] += d2 * d2
-    return s2, s4
+        series = simulate_batch(cfg.model, cfg.n, 1, substream(replication_seed(cfg.master_seed, rep)))[0]
+        total = _add(total, per_rep(cfg, series, rep, *args))
+    return total
 
 
-def _cdf_mse_chunk(payload, lo, hi):
-    model, n, x, y, plans, n_boot, seed, g_ref = payload
-    s2 = np.zeros(len(plans))
-    s4 = np.zeros(len(plans))
-    for rep in range(lo, hi):
-        series = simulate_batch(model, n, 1, substream(replication_seed(seed, rep)))[0]
-        for ci, plan in enumerate(plans):
-            rp = ResamplePlan(plan, n_boot, cell_seed(seed, ci, rep))
-            estimate = cdf_deviation_prob(series, rp, x, y)
-            d2 = (estimate - g_ref) ** 2
-            s2[ci] += d2
-            s4[ci] += d2 * d2
-    return s2, s4
+def _replicate(cfg: ExperimentConfig, per_rep, *args) -> tuple:
+    """Sum ``per_rep(cfg, series, rep, *args)`` over the ``cfg.n_reps`` replications.
+
+    ``per_rep`` is a module-level function (the pool pickles it) returning a
+    tuple of per-cell arrays or scalars for the series of replication ``rep``.
+    Each fixed ``_REP_CHUNK`` chunk sums them in replication order, and the
+    chunk sums are added in chunk order, so the totals are bit-identical for
+    every worker count.
+    """
+    chunks = _run_chunked(_replicate_chunk, (cfg, per_rep, args), cfg.n_reps, cfg.workers, _REP_CHUNK)
+    return functools.reduce(_add, chunks, None)
 
 
-def _coverage_chunk(payload, lo, hi):
-    model, n, p, alpha, plans, n_boot, seed, q_true = payload
-    covered = np.zeros(len(plans), dtype=np.int64)
-    for rep in range(lo, hi):
-        series = simulate_batch(model, n, 1, substream(replication_seed(seed, rep)))[0]
-        for ci, plan in enumerate(plans):
-            rp = ResamplePlan(plan, n_boot, cell_seed(seed, ci, rep))
-            ci_result = lower_confidence_bound(series, rp, p, alpha)
-            covered[ci] += q_true >= ci_result.lower
-    return (covered,)
+def _mean_stderr(total, total_sq, n_reps: int):
+    """Mean over replications and its standard error, from the sums of a quantity and of its square."""
+    mean = total / n_reps
+    return mean, np.sqrt(np.maximum(total_sq / n_reps - mean**2, 0.0) / n_reps)
 
 
-def _grid_result(cfg: ExperimentConfig, plans, metric, values, stderrs, ref: RefResult | None, extra_meta=None) -> GridResult:
+def _squared_errors(estimates, g_ref):
+    d2 = (np.asarray(estimates) - g_ref) ** 2
+    return d2, d2 * d2
+
+
+def _mse_rep(cfg, series, rep, plans, g_ref):
+    if cfg.exact:
+        estimates = [exact_quantile_distribution(series, plan, cfg.p).cdf(cfg.x) for plan in plans]
+    else:
+        estimates = [quantile_deviation_prob(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.p, cfg.x) for ci, plan in enumerate(plans)]
+    return _squared_errors(estimates, g_ref)
+
+
+def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
+    estimates = [cdf_deviation_prob(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.x, cfg.y) for ci, plan in enumerate(plans)]
+    return _squared_errors(estimates, g_ref)
+
+
+def _coverage_rep(cfg, series, rep, plans, q_true):
+    lowers = [lower_confidence_bound(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.p, cfg.alpha).lower for ci, plan in enumerate(plans)]
+    # int64 counts: adding bool arrays would be a logical or.
+    return ((q_true >= np.asarray(lowers)).astype(np.int64),)
+
+
+def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
+    diags = grid_diagnostics(series, replace(tune_cfg, seed=tuning_replication_seed(cfg.master_seed, rep)))
+    best = argmin_cell(diags)
+    d2, d4 = _squared_errors([d.full_sample_prob for d in diags], g_ref)
+    selected = (np.arange(len(diags)) == best).astype(np.int64)
+    return np.array([d.err for d in diags]), d2, d4, selected, d2[best], d4[best]
+
+
+_META_FIELDS = ("n", "p", "x", "y", "alpha", "n_reps", "n_boot", "master_seed")
+
+
+def _meta(cfg: ExperimentConfig, ref: RefResult | None, **extra) -> dict:
+    """Run settings recorded next to a result."""
+    meta = {name: getattr(cfg, name) for name in _META_FIELDS}
+    meta["model"] = cfg.model.kind
+    if ref is not None:
+        meta.update(ref_value=ref.value, ref_stderr=ref.stderr, ref_sims=ref.n_sims)
+    meta.update(extra)
+    return meta
+
+
+def _grid_result(cfg: ExperimentConfig, plans, metric, values, stderrs, ref: RefResult | None, **extra) -> GridResult:
     rows = tuple(
         GridRow(n_blocks=pl.n_blocks, block_length=pl.block_length, metric=metric, value=float(v), stderr=float(s))
         for pl, v, s in zip(plans, values, stderrs)
     )
-    meta = {
-        "model": cfg.model.kind,
-        "n": cfg.n,
-        "p": cfg.p,
-        "x": cfg.x,
-        "y": cfg.y,
-        "alpha": cfg.alpha,
-        "n_reps": cfg.n_reps,
-        "n_boot": cfg.n_boot,
-        "master_seed": cfg.master_seed,
-        "metric": metric,
-    }
-    if ref is not None:
-        meta["ref_value"] = ref.value
-        meta["ref_stderr"] = ref.stderr
-        meta["ref_sims"] = ref.n_sims
-    if extra_meta:
-        meta.update(extra_meta)
-    return GridResult(rows=rows, meta=meta)
-
-
-def _mse_rows(partials, n_reps):
-    s2 = sum((part[0] for part in partials), start=np.zeros_like(partials[0][0]))
-    s4 = sum((part[1] for part in partials), start=np.zeros_like(partials[0][1]))
-    mse = s2 / n_reps
-    variance = np.maximum(s4 / n_reps - mse**2, 0.0)
-    return mse, np.sqrt(variance / n_reps)
+    return GridResult(rows=rows, meta=_meta(cfg, ref, metric=metric, **extra))
 
 
 def mse_grid(cfg: ExperimentConfig) -> GridResult:
@@ -414,9 +399,7 @@ def mse_grid(cfg: ExperimentConfig) -> GridResult:
     """
     ref = _resolve_reference(cfg, "quantile")
     plans = cfg.grid.plans(cfg.n)
-    payload = (cfg.model, cfg.n, cfg.p, cfg.x, tuple(plans), cfg.n_boot, cfg.master_seed, ref.value, cfg.exact, cfg.exact_cap)
-    partials = _run_chunked(_mse_chunk, payload, cfg.n_reps, cfg.workers, _REP_CHUNK)
-    mse, stderr = _mse_rows(partials, cfg.n_reps)
+    mse, stderr = _mean_stderr(*_replicate(cfg, _mse_rep, plans, ref.value), cfg.n_reps)
     return _grid_result(cfg, plans, "mse", mse, stderr, ref)
 
 
@@ -426,9 +409,7 @@ def cdf_mse_grid(cfg: ExperimentConfig) -> GridResult:
         raise ValueError("cdf_mse_grid requires the evaluation point y")
     ref = _resolve_reference(cfg, "cdf")
     plans = cfg.grid.plans(cfg.n)
-    payload = (cfg.model, cfg.n, cfg.x, cfg.y, tuple(plans), cfg.n_boot, cfg.master_seed, ref.value)
-    partials = _run_chunked(_cdf_mse_chunk, payload, cfg.n_reps, cfg.workers, _REP_CHUNK)
-    mse, stderr = _mse_rows(partials, cfg.n_reps)
+    mse, stderr = _mean_stderr(*_replicate(cfg, _cdf_mse_rep, plans, ref.value), cfg.n_reps)
     return _grid_result(cfg, plans, "mse", mse, stderr, ref)
 
 
@@ -438,48 +419,10 @@ def coverage_grid(cfg: ExperimentConfig) -> GridResult:
         raise ValueError("coverage_grid requires alpha")
     q_true = cfg.model.marginal_quantile(cfg.p)
     plans = cfg.grid.plans(cfg.n)
-    payload = (cfg.model, cfg.n, cfg.p, cfg.alpha, tuple(plans), cfg.n_boot, cfg.master_seed, q_true)
-    partials = _run_chunked(_coverage_chunk, payload, cfg.n_reps, cfg.workers, _REP_CHUNK)
-    covered = sum((part[0] for part in partials), start=np.zeros(len(plans), dtype=np.int64))
-    coverage = covered / cfg.n_reps
-    stderr = np.sqrt(np.maximum(coverage * (1.0 - coverage), 0.0) / cfg.n_reps)
-    return _grid_result(cfg, plans, "coverage", coverage, stderr, None, extra_meta={"quantile_true": q_true})
-
-
-def _tune_chunk(payload, lo, hi):
-    model, n, p, x, c1_grid, c2_grid, subsample_len, subsample_count, rho, n_boot, seed, g_ref = payload
-    n_cells = len(c1_grid) * len(c2_grid)
-    err_sum = np.zeros(n_cells)
-    s2 = np.zeros(n_cells)
-    s4 = np.zeros(n_cells)
-    selected = np.zeros(n_cells, dtype=np.int64)
-    a2 = 0.0
-    a4 = 0.0
-    for rep in range(lo, hi):
-        series = simulate_batch(model, n, 1, substream(replication_seed(seed, rep)))[0]
-        tune_cfg = TuneConfig(
-            c1_grid=c1_grid,
-            c2_grid=c2_grid,
-            x=x,
-            n_boot=n_boot,
-            seed=tuning_replication_seed(seed, rep),
-            subsample_len=subsample_len,
-            subsample_count=subsample_count,
-            rho=rho,
-            p=p,
-        )
-        diags = grid_diagnostics(series, tune_cfg)
-        for ci, diag in enumerate(diags):
-            err_sum[ci] += diag.err
-            d2 = (diag.full_sample_prob - g_ref) ** 2
-            s2[ci] += d2
-            s4[ci] += d2 * d2
-        best = argmin_cell(diags)
-        selected[best] += 1
-        d2 = (diags[best].full_sample_prob - g_ref) ** 2
-        a2 += d2
-        a4 += d2 * d2
-    return err_sum, s2, s4, selected, a2, a4
+    (covered,) = _replicate(cfg, _coverage_rep, plans, q_true)
+    # Hits are 0 or 1, so the sum of their squares is the hit count itself.
+    coverage, stderr = _mean_stderr(covered, covered, cfg.n_reps)
+    return _grid_result(cfg, plans, "coverage", coverage, stderr, None, quantile_true=q_true)
 
 
 def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
@@ -492,30 +435,20 @@ def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
     and the MSE of the adaptively selected estimator.
     """
     ref = _resolve_reference(cfg, "quantile")
-    payload = (
-        cfg.model,
-        cfg.n,
-        cfg.p,
-        cfg.x,
-        tuple(cfg.c1_grid),
-        tuple(cfg.c2_grid),
-        cfg.subsample_len,
-        cfg.subsample_count,
-        cfg.rho,
-        cfg.n_boot,
-        cfg.master_seed,
-        ref.value,
+    tune_cfg = TuneConfig(
+        c1_grid=cfg.c1_grid,
+        c2_grid=cfg.c2_grid,
+        x=cfg.x,
+        n_boot=cfg.n_boot,
+        seed=cfg.master_seed,
+        subsample_len=cfg.subsample_len,
+        subsample_count=cfg.subsample_count,
+        rho=cfg.rho,
+        p=cfg.p,
     )
-    partials = _run_chunked(_tune_chunk, payload, cfg.n_reps, cfg.workers, _REP_CHUNK)
-    n_cells = len(cfg.c1_grid) * len(cfg.c2_grid)
-    err_sum = sum((p[0] for p in partials), start=np.zeros(n_cells))
-    s2 = sum((p[1] for p in partials), start=np.zeros(n_cells))
-    s4 = sum((p[2] for p in partials), start=np.zeros(n_cells))
-    selected = sum((p[3] for p in partials), start=np.zeros(n_cells, dtype=np.int64))
-    a2 = math.fsum(p[4] for p in partials)
-    a4 = math.fsum(p[5] for p in partials)
-    mse = s2 / cfg.n_reps
-    stderr = np.sqrt(np.maximum(s4 / cfg.n_reps - mse**2, 0.0) / cfg.n_reps)
+    err_sum, s2, s4, selected, a2, a4 = _replicate(cfg, _tune_rep, tune_cfg, ref.value)
+    mse, stderr = _mean_stderr(s2, s4, cfg.n_reps)
+    adaptive_mse, adaptive_stderr = _mean_stderr(a2, a4, cfg.n_reps)
     cells = [(c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
     rows = []
     for ci, (c1, c2) in enumerate(cells):
@@ -532,26 +465,11 @@ def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
                 selected_count=int(selected[ci]),
             )
         )
-    adaptive_mse = a2 / cfg.n_reps
-    adaptive_var = max(a4 / cfg.n_reps - adaptive_mse**2, 0.0)
-    meta = {
-        "model": cfg.model.kind,
-        "n": cfg.n,
-        "p": cfg.p,
-        "x": cfg.x,
-        "n_reps": cfg.n_reps,
-        "n_boot": cfg.n_boot,
-        "master_seed": cfg.master_seed,
-        "ref_value": ref.value,
-        "ref_stderr": ref.stderr,
-        "subsample_len": cfg.subsample_len,
-        "subsample_count": cfg.subsample_count,
-        "rho": cfg.rho,
-    }
+    meta = _meta(cfg, ref, subsample_len=cfg.subsample_len, subsample_count=cfg.subsample_count, rho=cfg.rho)
     return AdaptiveResult(
         cell_rows=tuple(rows),
         adaptive_mse=float(adaptive_mse),
-        adaptive_stderr=float(math.sqrt(adaptive_var / cfg.n_reps)),
+        adaptive_stderr=float(adaptive_stderr),
         n_reps=cfg.n_reps,
         meta=meta,
     )
@@ -578,11 +496,10 @@ def rate_study(cfg: ExperimentConfig) -> RateResult:
     minima = []
     grids = {}
     for n in cfg.n_list:
-        sub = replace(cfg, n=int(n))
-        grid = mse_grid(sub)
+        grid = mse_grid(replace(cfg, n=int(n)))
+        grids[int(n)] = grid
         row = grid.min_row()
         minima.append((int(n), row.value, row.n_blocks, row.block_length))
-        grids[int(n)] = grid
     slope = log_log_slope([m[0] for m in minima], [m[1] for m in minima])
     return RateResult(slope=slope, minima=tuple(minima), grids=grids)
 
@@ -601,107 +518,44 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write ``rows`` under ``header``: floats with 6 significant digits, ``None`` as an empty field."""
+    lines = [",".join(header)] + [",".join(_csv_field(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
 def write_grid_csv(path: str, result: GridResult) -> None:
-    """Emit grid rows as ``b,ell,metric,value,stderr`` (6 significant digits)."""
-    lines = ["b,ell,metric,value,stderr"]
-    for r in result.rows:
-        lines.append(f"{r.n_blocks},{r.block_length},{r.metric},{r.value:.6g},{r.stderr:.6g}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_reference_csv(path: str, model_kind: str, n: int, kind: str, x: float, y: float | None, ref: RefResult) -> None:
-    lines = ["model,n,kind,x,y,value,stderr,n_sims"]
-    y_text = "" if y is None else f"{y:.6g}"
-    lines.append(f"{model_kind},{n},{kind},{x:.6g},{y_text},{ref.value:.6g},{ref.stderr:.6g},{ref.n_sims}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_err_table_csv(path: str, rows) -> None:
-    """Emit a tuning error table as ``c1,c2,b_n,ell_n,err``.
-
-    ``rows`` holds ``(c1, c2, n_blocks, block_length, err)`` tuples; the plan
-    columns may be ``None`` for degenerate cells.
-    """
-    lines = ["c1,c2,b_n,ell_n,err"]
-    for c1, c2, b, ell, err in rows:
-        plan_text = "," if b is None else f"{b},{ell}"
-        lines.append(f"{c1:.6g},{c2:.6g},{plan_text},{err:.6g}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def err_table_rows(table) -> list:
-    """Rows for :func:`write_err_table_csv` from tuning diagnostics or study cells."""
-    rows = []
-    for cell in table:
-        if hasattr(cell, "err_mean"):
-            rows.append((cell.c1, cell.c2, cell.n_blocks, cell.block_length, cell.err_mean))
-        elif cell.plan is None:
-            rows.append((cell.c1, cell.c2, None, None, math.nan))
-        else:
-            rows.append((cell.c1, cell.c2, cell.plan.n_blocks, cell.plan.block_length, cell.err))
-    return rows
-
-
-def write_tune_study_csv(path: str, result: AdaptiveResult) -> None:
-    lines = ["c1,c2,b,ell,metric,value,stderr"]
-    for r in result.cell_rows:
-        lines.append(f"{r.c1:.6g},{r.c2:.6g},{r.n_blocks},{r.block_length},mse,{r.mse:.6g},{r.mse_stderr:.6g}")
-        lines.append(f"{r.c1:.6g},{r.c2:.6g},{r.n_blocks},{r.block_length},err_mean,{r.err_mean:.6g},0")
-        lines.append(f"{r.c1:.6g},{r.c2:.6g},{r.n_blocks},{r.block_length},selected_frac,{r.selected_count / result.n_reps:.6g},0")
-    lines.append(f",,,,adaptive_mse,{result.adaptive_mse:.6g},{result.adaptive_stderr:.6g}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Emit grid rows as ``b,ell,metric,value,stderr``."""
+    write_csv(path, ("b", "ell", "metric", "value", "stderr"), [(r.n_blocks, r.block_length, r.metric, r.value, r.stderr) for r in result.rows])
 
 
 def write_rate_csvs(out_dir: str, result: RateResult) -> list[str]:
-    minima_path = os.path.join(out_dir, "rate_minima.csv")
-    lines = ["n,min_mse,b,ell"]
-    for n, value, b, ell in result.minima:
-        lines.append(f"{n},{value:.6g},{b},{ell}")
-    _write_atomic(minima_path, "\n".join(lines) + "\n")
-    summary_path = os.path.join(out_dir, "rate_summary.csv")
-    _write_atomic(summary_path, "metric,value\nslope,%.6g\n" % result.slope)
-    written = [minima_path, summary_path]
+    written = [os.path.join(out_dir, "rate_minima.csv"), os.path.join(out_dir, "rate_summary.csv")]
+    write_csv(written[0], ("n", "min_mse", "b", "ell"), result.minima)
+    write_csv(written[1], ("metric", "value"), [("slope", result.slope)])
     for n, grid in result.grids.items():
-        grid_path = os.path.join(out_dir, f"mse_grid_n{n}.csv")
-        write_grid_csv(grid_path, grid)
-        written.append(grid_path)
+        written.append(os.path.join(out_dir, f"mse_grid_n{n}.csv"))
+        write_grid_csv(written[-1], grid)
     return written
 
 
-def model_to_dict(model: ModelSpec) -> dict:
-    out = asdict(model)
-    out["beta_bound"] = None if math.isinf(model.beta_bound) else model.beta_bound
-    return out
-
-
 def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list[str]) -> None:
-    """Echo the run configuration next to its outputs for provenance."""
+    """Echo the run configuration (every ``ExperimentConfig`` field) next to its outputs."""
+    config = asdict(cfg)
+    if math.isinf(cfg.model.beta_bound):
+        config["model"]["beta_bound"] = None
     payload = {
         "command": command,
         "package": f"blockboot {__version__}",
         "master_seed": cfg.master_seed,
         "workers": cfg.workers,
-        "config": {
-            "model": model_to_dict(cfg.model),
-            "n": cfg.n,
-            "n_list": list(cfg.n_list),
-            "p": cfg.p,
-            "x": cfg.x,
-            "y": cfg.y,
-            "alpha": cfg.alpha,
-            "grid": asdict(cfg.grid),
-            "n_reps": cfg.n_reps,
-            "n_boot": cfg.n_boot,
-            "ref_sims": cfg.ref_sims,
-            "ref_value": cfg.ref_value,
-            "ref_values": [list(item) for item in cfg.ref_values],
-            "exact": cfg.exact,
-            "c1_grid": list(cfg.c1_grid),
-            "c2_grid": list(cfg.c2_grid),
-            "subsample_len": cfg.subsample_len,
-            "subsample_count": cfg.subsample_count,
-            "rho": cfg.rho,
-        },
+        "config": config,
         "outputs": [os.path.basename(p) for p in outputs],
     }
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

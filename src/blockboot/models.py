@@ -16,10 +16,7 @@ Three process families are provided, each strongly mixing:
 
 ARMA recursions are started from the exact stationary joint law of the
 initial states and innovations (computed from the moving-average weights), so
-every output value has the stationary marginal distribution.  An alternative
-``init="independent"`` mode draws the initial values independently from their
-marginals; that scheme is only asymptotically stationary and inflates the
-variance of the first few observations.
+every output value has the stationary marginal distribution.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import ndtr, ndtri
 
-from .seeding import standard_normal_stream, substream
+from .seeding import substream
 
 __all__ = [
     "ModelSpec",
@@ -48,7 +45,6 @@ __all__ = [
     "simulate_arma11",
     "simulate_squared_arma23",
     "simulate_poly_mixing",
-    "standard_normal_stream",
 ]
 
 MODEL_NAMES = ("arma11", "arma23sq", "polymix")
@@ -185,33 +181,26 @@ def _stationary_start_chol(ar: tuple, ma: tuple) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
-def _arma_batch(ar, ma, n, count, rng, burn_in=0, init="stationary"):
+def _arma_batch(ar, ma, n, count, rng):
     p, q = len(ar), len(ma)
-    total = burn_in + n
-    if init == "stationary":
-        chol = _stationary_start_chol(tuple(ar), tuple(ma))
-        state = rng.standard_normal((count, p + q)) @ chol.T
-    elif init == "independent":
-        state = rng.standard_normal((count, p + q))
-        state[:, :p] *= math.sqrt(_arma_autocov(tuple(ar), tuple(ma), 0)[0])
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
+    chol = _stationary_start_chol(tuple(ar), tuple(ma))
+    state = rng.standard_normal((count, p + q)) @ chol.T
 
-    # Buffer layout: x columns hold (X_{1-p}, ..., X_0, X_1, ..., X_total) and
-    # e columns hold (e_{1-q}, ..., e_0, e_1, ..., e_total).
-    x = np.empty((count, p + total))
-    e = np.empty((count, q + total))
+    # Buffer layout: x columns hold (X_{1-p}, ..., X_0, X_1, ..., X_n) and
+    # e columns hold (e_{1-q}, ..., e_0, e_1, ..., e_n).
+    x = np.empty((count, p + n))
+    e = np.empty((count, q + n))
     x[:, :p] = state[:, :p][:, ::-1]
     e[:, :q] = state[:, p:][:, ::-1]
-    e[:, q:] = rng.standard_normal((count, total))
-    for t in range(total):
+    e[:, q:] = rng.standard_normal((count, n))
+    for t in range(n):
         acc = e[:, q + t].copy()
         for j, theta in enumerate(ma, start=1):
             acc += theta * e[:, q + t - j]
         for i, phi in enumerate(ar, start=1):
             acc += phi * x[:, p + t - i]
         x[:, p + t] = acc
-    return x[:, p + burn_in :]
+    return x[:, p:]
 
 
 def _poly_coeffs(nu: float, n_terms: int) -> np.ndarray:
@@ -291,7 +280,7 @@ def model_from_name(name: str, nu: float | None = None, n_terms: int | None = No
     raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
-def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generator, burn_in: int = 0, init: str = "stationary") -> np.ndarray:
+def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate ``count`` independent length-``n`` sample paths.
 
     Returns an array of shape ``(count, n)``.  Rows are mutually independent;
@@ -303,9 +292,9 @@ def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generato
     if count < 1:
         raise ValueError("count must be at least 1")
     if model.kind == "arma11":
-        return _arma_batch(_ARMA11_AR, _ARMA11_MA, n, count, rng, burn_in, init)
+        return _arma_batch(_ARMA11_AR, _ARMA11_MA, n, count, rng)
     if model.kind == "arma23sq":
-        latent = _arma_batch(_ARMA23_AR, _ARMA23_MA, n, count, rng, burn_in, init)
+        latent = _arma_batch(_ARMA23_AR, _ARMA23_MA, n, count, rng)
         return latent**2
     if model.kind == "polymix":
         return _poly_mixing_batch(model.params["nu"], model.params["n_terms"], n, count, rng)
@@ -314,20 +303,20 @@ def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generato
     raise ValueError(f"cannot simulate model kind {model.kind!r}")
 
 
-def simulate(model: ModelSpec, n: int, seed: int, burn_in: int = 0, init: str = "stationary") -> TimeSeries:
+def simulate(model: ModelSpec, n: int, seed: int) -> TimeSeries:
     """Simulate a single sample path from ``model`` under the given seed."""
-    values = simulate_batch(model, n, 1, substream(seed), burn_in=burn_in, init=init)[0]
+    values = simulate_batch(model, n, 1, substream(seed))[0]
     return TimeSeries(values=values, model=model, seed=int(seed))
 
 
-def simulate_arma11(n: int, seed: int, burn_in: int = 0, init: str = "stationary") -> TimeSeries:
+def simulate_arma11(n: int, seed: int) -> TimeSeries:
     """Series from the ARMA(1,1) preset."""
-    return simulate(arma11_model(), n, seed, burn_in=burn_in, init=init)
+    return simulate(arma11_model(), n, seed)
 
 
-def simulate_squared_arma23(n: int, seed: int, burn_in: int = 0, init: str = "stationary") -> TimeSeries:
+def simulate_squared_arma23(n: int, seed: int) -> TimeSeries:
     """Series from the squared ARMA(2,3) preset; all values are nonnegative."""
-    return simulate(squared_arma23_model(), n, seed, burn_in=burn_in, init=init)
+    return simulate(squared_arma23_model(), n, seed)
 
 
 def simulate_poly_mixing(n: int, seed: int, nu: float = 10.0, n_terms: int = 100) -> TimeSeries:

@@ -140,8 +140,7 @@ def _check_plan(n: int, plan: BlockPlan) -> tuple[int, int]:
 
 def draw_block_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarray:
     """Draw ``n_blocks`` i.i.d. uniform block starts from ``{0, ..., n-ell}``."""
-    b, ell = _check_plan(n, plan)
-    return rng.integers(0, n - ell + 1, size=b)
+    return _start_matrix(rng, n, plan, 1)[0]
 
 
 def _start_matrix(rng: np.random.Generator, n: int, plan: BlockPlan, count: int) -> np.ndarray:

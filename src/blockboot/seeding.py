@@ -11,8 +11,6 @@ same build.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -53,16 +51,3 @@ def subseed(master_seed: int, *keys: int) -> int:
 def float_key(x: float) -> int:
     """Stable integer key for a float (its IEEE-754 bit pattern)."""
     return int(np.float64(x).view(np.uint64))
-
-
-def standard_normal_stream(seed: int, _buffer: int = 4096) -> Iterator[float]:
-    """Infinite stream of i.i.d. standard normal draws.
-
-    The stream is buffered but consumes the underlying generator in the same
-    order as element-by-element sampling, so the sequence depends only on
-    ``seed``.
-    """
-    rng = substream(seed)
-    while True:
-        for value in rng.standard_normal(_buffer):
-            yield float(value)

@@ -32,7 +32,6 @@ __all__ = [
     "default_subsample_len",
     "subsample_starts",
     "tuning_subseed",
-    "tuning_error",
     "grid_diagnostics",
     "select_plan",
 ]
@@ -111,7 +110,7 @@ def plan_from_constants(n: int, c1: float, c2: float) -> BlockPlan:
     The cube root is guarded against half-ulp rounding so exact cubes like
     ``512`` or ``1728`` floor to their integer roots.
     """
-    root = float(np.cbrt(n))
+    root = float(np.cbrt(float(n)))
     b = guarded_floor(c1 * root)
     ell = guarded_floor(c2 * root)
     if b < 1 or ell < 1 or ell > n:
@@ -173,20 +172,6 @@ def _cell_diagnostics(values: np.ndarray, cfg: TuneConfig, c1: float, c2: float)
     return CellDiagnostics(c1=c1, c2=c2, plan=plan_full, err=float(np.mean(deviations)), full_sample_prob=g_full)
 
 
-def tuning_error(series, cfg: TuneConfig, c1: float, c2: float) -> float:
-    """Subsample-based error estimate of the plan induced by ``(c1, c2)``.
-
-    Averages ``|G_M^(j)(x) - G_n(x)| ** rho`` over the selected subsamples,
-    where each ``G`` is a Monte Carlo bootstrap CDF estimate at ``x`` using
-    the plan constants scaled to the respective sample size.
-    """
-    values = as_values(series)
-    diag = _cell_diagnostics(values, cfg, c1, c2)
-    if diag.plan is None:
-        raise ValueError(f"degenerate plan for c1={c1}, c2={c2}")
-    return diag.err
-
-
 def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     """Tuning diagnostics for every cell of the candidate grid.
 
@@ -199,17 +184,10 @@ def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
 
 def argmin_cell(diagnostics) -> int:
     """Index of the minimal-error cell, ties broken by smaller c2 then smaller c1."""
-    best = -1
-    best_key = None
-    for i, d in enumerate(diagnostics):
-        if d.plan is None or math.isnan(d.err):
-            continue
-        key = (d.err, d.c2, d.c1)
-        if best_key is None or key < best_key:
-            best, best_key = i, key
-    if best < 0:
+    feasible = [(d.err, d.c2, d.c1, i) for i, d in enumerate(diagnostics) if d.plan is not None and not math.isnan(d.err)]
+    if not feasible:
         raise NoFeasiblePlanError("every candidate cell yields a degenerate plan")
-    return best
+    return min(feasible)[-1]
 
 
 def select_plan(series, cfg: TuneConfig) -> SelectionResult:

@@ -1,8 +1,13 @@
 import json
+import math
 import time
 
+import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockboot import cli
 from blockboot.cli import main
 
 TINY_GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
@@ -70,6 +75,86 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries())
         assert main(["coverage-grid", "--config", cfg]) == 2
         assert "'alpha'" in capsys.readouterr().err
+
+
+TUNE = dict(n=64, replications=4, bootstrap_samples=20, c2_grid=[1.0], subsample_len=27, subsample_count=3)
+
+# (subcommand, config entries over tiny_entries(), text the error must hold)
+MALFORMED = {
+    "grid b not a pair": ("mse-grid", dict(grid={"b": 5}), "grid.'b'"),
+    "grid ell_step zero": ("mse-grid", dict(grid={"ell_step": 0}), "grid.'ell_step'"),
+    "cell longer than n": ("mse-grid", dict(grid={"cells": [[1, 50]]}), "'grid'"),
+    "p outside (0, 1)": ("mse-grid", dict(p=1.5), "'p'"),
+    "x not finite": ("mse-grid", dict(x=math.nan), "'x'"),
+    "y infinite": ("cdf-mse-grid", dict(y=math.inf), "'y'"),
+    "alpha at one": ("coverage-grid", dict(alpha=1.0), "'alpha'"),
+    "workers zero": ("mse-grid", dict(workers=0), "'workers'"),
+    "replications zero": ("mse-grid", dict(replications=0), "'replications'"),
+    "ref_values key not a size": ("mse-grid", dict(ref_values={"abc": 1}), "'ref_values'"),
+    "exact given as a string": ("mse-grid", dict(exact="false"), "'exact'"),
+    "rho zero": ("tune", dict(TUNE, c1_grid=[1.0], rho=0), "'rho'"),
+    "c1_grid not a list": ("tune", dict(TUNE, c1_grid=5), "'c1_grid'"),
+    "degenerate candidate among others": ("tune", dict(TUNE, c1_grid=[0.1, 1.0]), "'c1_grid'"),
+    "only a degenerate candidate": ("tune", dict(TUNE, c1_grid=[0.1]), "'c1_grid'"),
+    "degenerate block length": ("tune", dict(TUNE, c1_grid=[1.0], c2_grid=[0.1]), "'c2_grid'"),
+    "no candidate at the subsample length": ("tune", dict(TUNE, c1_grid=[0.3], subsample_len=8), "'c1_grid'"),
+    "subsample longer than n": ("tune", dict(TUNE, c1_grid=[1.0], subsample_len=65), "'subsample_len'"),
+    "exact in coverage-grid": ("coverage-grid", dict(alpha=0.9, exact=True), "'exact'"),
+    "exact in cdf-mse-grid": ("cdf-mse-grid", dict(y=0.9, exact=True), "'exact'"),
+    "exact in tune": ("tune", dict(TUNE, c1_grid=[1.0], exact=True), "'exact'"),
+    "exact in reference": ("reference", dict(exact=True), "'exact'"),
+    "rate-study cell longer than a size": ("rate-study", dict(n_list=[30, 60, 90], grid={"cells": [[1, 40]]}), "'grid'"),
+    "rate-study with two sizes": ("rate-study", dict(n_list=[30, 60]), "'n_list'"),
+    "reference kind unknown": ("reference", dict(kind="median"), "'kind'"),
+    "polymix nu not finite": ("mse-grid", dict(model={"name": "polymix", "nu": math.inf}), "model.'nu'"),
+}
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_names_key(self, tmp_path, capsys, case):
+        command, overrides, key = MALFORMED[case]
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(**overrides))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_workers_override_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries())
+        assert main(["mse-grid", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
+        assert "'workers'" in capsys.readouterr().err
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["7", "0.5", "nan", "quantile", "cdf", "arma11", "polymix"]),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(SCALARS.filter(lambda v: v is not None), inner, max_size=2)), max_leaves=6)
+GRIDS = st.dictionaries(st.sampled_from(sorted(cli._GRID_KEYS)), st.one_of(VALUES, st.lists(st.integers(0, 70), min_size=2, max_size=2), st.lists(st.lists(st.integers(0, 70), min_size=2, max_size=2), max_size=3)), max_size=3)
+MODELS = st.one_of(st.sampled_from(["arma11", "arma23sq", "polymix", "garch"]), st.dictionaries(st.sampled_from(["name", "nu", "n_terms", "kind"]), VALUES, max_size=3), VALUES)
+# A config every subcommand accepts; the fuzzer changes up to three keys of it
+# and sometimes replaces the grid or the model mapping.
+VALID = dict(model="arma11", n=64, x=1.0, y=0.5, alpha=0.9, n_list=[30, 60, 90], grid={"cells": [[1, 3]]}, c1_grid=[1.0], c2_grid=[1.0], subsample_len=27)
+RAW = st.builds(
+    lambda changes, extra: {**VALID, **changes, **extra},
+    st.dictionaries(st.sampled_from(sorted(cli._KEYS) + ["frobnicate"]), VALUES, max_size=3),
+    st.one_of(st.just({}), GRIDS.map(lambda grid: {"grid": grid}), MODELS.map(lambda model: {"model": model})),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=RAW, command=st.sampled_from(cli.EXPERIMENTS + ("run",)))
+def test_build_config_raises_config_error_or_gives_a_usable_config(raw, command):
+    args = cli.make_parser().parse_args([command, "--config", "unused.yaml"])
+    try:
+        cfg = cli.build_config(raw, args)
+    except cli.ConfigError:
+        return
+    assert cfg.grid.plans(cfg.n)
 
 
 class TestResourceLimit:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from blockboot.empirical import (
-    WeightedSample,
     block_averaged_cdf,
     block_averaged_quantile,
     block_weight_counts,
-    block_weighted_sample,
     block_weights,
     empirical_cdf,
     order_stat_index,
@@ -209,18 +207,3 @@ class TestGaloisLaws:
             assert block_averaged_cdf(values, ell, q) >= p
             for v in values[values < q]:
                 assert block_averaged_cdf(values, ell, v) < p
-
-
-class TestWeightedSample:
-    def test_block_weighted_sample_sorted(self):
-        ws = block_weighted_sample([3, 1, 2], 2)
-        assert np.array_equal(ws.values, [1, 2, 3])
-        assert np.array_equal(ws.weights, [0.5, 0.25, 0.25])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([2.0, 1.0]), weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([1.0, 2.0]), weights=np.array([0.6, 0.6]))
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([1.0, 2.0]), weights=np.array([-0.1, 1.1]))

@@ -14,7 +14,6 @@ from blockboot.harness import (
     cell_seed,
     coverage_grid,
     log_log_slope,
-    mbb_plan,
     mse_grid,
     rate_study,
     reference_value,
@@ -51,7 +50,7 @@ class TestMbbPresets:
     def test_table_of_standard_choices(self):
         for n, pairs in TABLE_MBB_PAIRS.items():
             for b, ell in pairs:
-                assert mbb_plan(n, ell) == BlockPlan(b, ell)
+                assert BlockPlan.mbb(n, ell) == BlockPlan(b, ell)
 
 
 class TestGridSpec:
@@ -306,12 +305,14 @@ class TestCsvAndManifest:
         from blockboot.tuning import TuneConfig, grid_diagnostics
 
         values = sub(71).standard_normal(64)
-        cfg = TuneConfig(c1_grid=(0.5, 1.0), c2_grid=(1.0,), x=1.0, n_boot=20, seed=5, subsample_len=27, subsample_count=3)
-        rows = harness.err_table_rows(grid_diagnostics(values, cfg))
+        cfg = TuneConfig(c1_grid=(0.05, 1.0), c2_grid=(1.0,), x=1.0, n_boot=20, seed=5, subsample_len=27, subsample_count=3)
+        rows = [(d.c1, d.c2, d.plan and d.plan.n_blocks, d.plan and d.plan.block_length, d.err) for d in grid_diagnostics(values, cfg)]
         path = tmp_path / "err.csv"
-        harness.write_err_table_csv(str(path), rows)
+        harness.write_csv(str(path), ("c1", "c2", "b_n", "ell_n", "err"), rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "c1,c2,b_n,ell_n,err"
+        assert lines[1] == "0.05,1,,,nan"
+        assert lines[2] == f"1,1,4,4,{rows[1][4]:.6g}"
         assert len(lines) == 3
 
     def test_manifest_round_trip(self, tmp_path):

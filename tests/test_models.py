@@ -106,12 +106,6 @@ class TestArma11:
         batch = simulate_batch(arma11_model(), 1, 10**5, substream(11))
         assert batch[:, 0].var() == pytest.approx(ARMA11_VAR, abs=0.03)
 
-    def test_independent_init_carries_transient(self):
-        # Drawing X_0 and e_0 independently understates Var(X_1):
-        # 0.16 * 1.5833 + 1 + 0.09 = 1.3433 instead of the stationary value.
-        batch = simulate_batch(arma11_model(), 1, 10**5, substream(12), init="independent")
-        assert batch[:, 0].var() == pytest.approx(0.16 * ARMA11_VAR + 1.09, abs=0.03)
-
     def test_lag1_autocorrelation_matches_pair_oracle(self):
         phi, theta = 0.4, 0.3
         closed_form = (1 + phi * theta) * (phi + theta) / (1 + 2 * phi * theta + theta**2)
@@ -182,10 +176,3 @@ class TestConstantModel:
         assert m.median == 2.5
         assert m.marginal_cdf(2.5) == 1.0
         assert m.marginal_cdf(2.49) == 0.0
-
-
-def test_burn_in_shifts_the_window():
-    # With an exact stationary start, burn-in only relabels time; the series
-    # stays stationary and the option is accepted for compatibility.
-    ts = simulate_arma11(50, seed=61, burn_in=10)
-    assert ts.n == 50

@@ -1,8 +1,6 @@
-import itertools
-
 import numpy as np
 
-from blockboot.seeding import float_key, standard_normal_stream, subseed, substream
+from blockboot.seeding import float_key, subseed, substream
 
 
 def test_substream_is_deterministic():
@@ -34,21 +32,3 @@ def test_float_key_distinguishes_values():
     assert float_key(0.5) == float_key(0.5)
     assert float_key(0.5) != float_key(0.75)
     assert float_key(1.0) != float_key(-1.0)
-
-
-def test_stream_law_of_large_numbers():
-    draws = np.fromiter(itertools.islice(standard_normal_stream(42), 10**6), dtype=float)
-    assert abs(draws.mean()) < 4 / np.sqrt(10**6)
-    assert abs(draws.var() - 1.0) < 0.01
-
-
-def test_stream_determinism_bitwise():
-    a = np.fromiter(itertools.islice(standard_normal_stream(42), 10_000), dtype=float)
-    b = np.fromiter(itertools.islice(standard_normal_stream(42), 10_000), dtype=float)
-    assert np.array_equal(a, b)
-
-
-def test_stream_seed_sensitivity():
-    a = np.fromiter(itertools.islice(standard_normal_stream(1), 1000), dtype=float)
-    b = np.fromiter(itertools.islice(standard_normal_stream(2), 1000), dtype=float)
-    assert np.any(a != b)

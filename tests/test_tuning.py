@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from blockboot.tuning import (
     plan_from_constants,
     select_plan,
     subsample_starts,
-    tuning_error,
     tuning_subseed,
 )
 
@@ -78,22 +78,28 @@ def make_cfg(**overrides):
     return TuneConfig(**base)
 
 
+def cell_diagnostics(values, cfg, c1, c2):
+    """Diagnostics of the one candidate ``(c1, c2)``, from a single-cell grid."""
+    (cell,) = grid_diagnostics(values, replace(cfg, c1_grid=(c1,), c2_grid=(c2,)))
+    return cell
+
+
 class TestTuningError:
     def test_constant_series_zero(self):
         values = np.full(64, 2.0)
-        assert tuning_error(values, make_cfg(), 1.0, 1.0) == 0.0
+        assert cell_diagnostics(values, make_cfg(), 1.0, 1.0).err == 0.0
 
     def test_full_series_subsample_shares_seed(self):
         values = substream(51).standard_normal(64)
         cfg = make_cfg(subsample_len=64, subsample_count=0)
-        assert tuning_error(values, cfg, 1.0, 1.0) == 0.0
+        assert cell_diagnostics(values, cfg, 1.0, 1.0).err == 0.0
 
     def test_bounded_for_rho_at_least_one(self):
         rng = substream(52)
         for _ in range(10):
             values = rng.standard_normal(72)
             rho = float(rng.uniform(1.0, 3.0))
-            err = tuning_error(values, make_cfg(rho=rho), 1.0, 1.0)
+            err = cell_diagnostics(values, make_cfg(rho=rho), 1.0, 1.0).err
             assert 0.0 <= err <= 1.0
 
     def test_matches_flat_loop_reimplementation(self):
@@ -102,7 +108,7 @@ class TestTuningError:
         values = substream(53).standard_normal(40)
         cfg = make_cfg(subsample_len=16, subsample_count=3, n_boot=30, rho=2.0)
         c1, c2 = 1.0, 0.5
-        got = tuning_error(values, cfg, c1, c2)
+        got = cell_diagnostics(values, cfg, c1, c2).err
 
         plan_full = plan_from_constants(40, c1, c2)
         plan_sub = plan_from_constants(16, c1, c2)
@@ -118,8 +124,10 @@ class TestTuningError:
 
     def test_degenerate_constants_raise(self):
         values = substream(54).standard_normal(64)
+        cell = cell_diagnostics(values, make_cfg(), 0.05, 1.0)
+        assert cell.plan is None and math.isnan(cell.err)
         with pytest.raises(ValueError):
-            tuning_error(values, make_cfg(), 0.05, 1.0)
+            select_plan(values, make_cfg(c1_grid=(0.05,), c2_grid=(1.0,)))
 
 
 class TestSelectPlan:
@@ -172,8 +180,8 @@ class TestSelectPlan:
         cfg = make_cfg()
         diags = grid_diagnostics(values, cfg)
         for cell in diags:
-            again = tuning_error(values, cfg, cell.c1, cell.c2)
-            assert again == cell.err
+            again = cell_diagnostics(values, cfg, cell.c1, cell.c2)
+            assert again.err == cell.err
 
 
 def test_grid_diagnostics_row_order():
