@@ -2,8 +2,10 @@
 
 This walk-through simulates a short ARMA(1,1) series, pastes random blocks
 into a pseudo-series, and builds the Monte Carlo distribution of the scaled
-quantile deviation.  On a tiny instance the exact enumeration over all start
-tuples is available, so we can watch the Monte Carlo CDF converge to it.
+quantile deviation.  The exact conditional law, which convolves the
+distribution of the count in one block b times instead of drawing blocks,
+shows the Monte Carlo CDF converging to it on a tiny instance, and gives a
+confidence bound free of bootstrap Monte Carlo error (``n_boot=None``).
 """
 
 import numpy as np
@@ -44,7 +46,8 @@ for label, p2 in [("subsampling", BlockPlan.subsampling(8)), ("hybrid", plan), (
     d = bootstrap_quantile_distribution(series, ResamplePlan(p2, 5000, 123), 0.5)
     print(f"  {label:11s} (b={p2.n_blocks:3d}, ell={p2.block_length}): sd of atoms = {np.sqrt(np.cov(d.values, fweights=d.counts)):.4f}")
 
-# On a tiny instance the conditional law can be enumerated exactly.
+# The exact conditional law, as integer multiplicities over the equally
+# likely start tuples (offered for up to 10**6 of them).
 tiny = simulate_arma11(n=9, seed=11)
 tiny_plan = BlockPlan(2, 3)
 exact = exact_quantile_distribution(tiny, tiny_plan, p=0.5)
@@ -56,3 +59,5 @@ print(f"largest |MC - exact| CDF gap over the atoms: {worst:.4f}")
 # A one-sided lower confidence bound for the population median (here 0).
 ci = lower_confidence_bound(series, rp, p=0.5, alpha=0.90)
 print(f"\n90% lower confidence bound for the median: {ci.lower:+.4f} (true value 0)")
+ci_exact = lower_confidence_bound(series, ResamplePlan(plan, n_boot=None, seed=0), p=0.5, alpha=0.90)
+print(f"the same bound from the exact bootstrap law:  {ci_exact.lower:+.4f}")

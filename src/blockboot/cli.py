@@ -4,7 +4,7 @@ Each subcommand reads a YAML (or JSON) config file describing an
 :class:`~blockboot.harness.ExperimentConfig`, runs the experiment, and writes
 plot-ready CSV files plus a ``manifest.json`` echoing the configuration.
 Exit codes: 0 success, 2 config error (the message names the key),
-3 resource limit exceeded.
+3 a run larger than the size limit (the message names the key).
 """
 
 from __future__ import annotations
@@ -146,8 +146,9 @@ _REQUIRED = {
 
 EXPERIMENTS = tuple(_REQUIRED)
 
-# Experiments with an exact (enumeration) mode; the others reject `exact: true`.
-_EXACT_EXPERIMENTS = ("mse-grid", "rate-study")
+# Largest number of values (array elements or chunk tasks) a run may hold in
+# one allocation; 10**8 float64 values take 800 MB.
+_MAX_ALLOCATION = 10**8
 
 # Grid experiments: the harness function and the CSV it fills.
 _GRIDS = {
@@ -219,6 +220,25 @@ def _check_tune(cfg: harness.ExperimentConfig) -> None:
             raise ConfigError(f"config key {key!r} gives no valid plan at the subsample length {m}")
 
 
+def _check_size(cfg: harness.ExperimentConfig, experiment: str) -> None:
+    """Raise ResourceLimitError, naming the key, when the run's largest allocation exceeds ``_MAX_ALLOCATION``."""
+    if experiment == "tune":
+        blocks = plan_from_constants(cfg.n, max(cfg.c1_grid), 1.0).n_blocks
+    else:
+        blocks = max(plan.n_blocks for n in (cfg.n, *cfg.n_list) for plan in cfg.grid.plans(n))
+    ref_chunk = min(cfg.ref_sims, harness._REF_CHUNK)
+    allocations = {
+        "n": ref_chunk * cfg.n,  # one chunk of reference series
+        "n_list": ref_chunk * max(cfg.n_list, default=0),
+        "bootstrap_samples": cfg.n_boot * blocks,  # one block-start matrix
+        "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
+        "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
+    }
+    key, size = max(allocations.items(), key=lambda item: item[1])
+    if size > _MAX_ALLOCATION:
+        raise ResourceLimitError(f"config key {key!r} asks for {size} values in one allocation, over the limit of {_MAX_ALLOCATION}")
+
+
 def _experiment(raw: dict, args) -> str:
     """The experiment to run: the subcommand, or the ``experiment`` key under ``run``."""
     declared = raw.get("experiment")
@@ -245,12 +265,13 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
             cfg.grid.plans(n)
         except ValueError as exc:
             raise ConfigError(f"config key 'grid' is invalid at n={n}: {exc}") from exc
-    if cfg.exact and experiment not in _EXACT_EXPERIMENTS:
-        raise ConfigError(f"config key 'exact' is honoured only by {' and '.join(_EXACT_EXPERIMENTS)}, not by {experiment}")
+    if cfg.exact and experiment == "reference":
+        raise ConfigError("config key 'exact' does not apply to reference, which runs no bootstrap")
     if experiment == "rate-study" and len(cfg.n_list) < 3:
         raise ConfigError("config key 'n_list' must hold at least three sample sizes")
     if experiment == "tune":
         _check_tune(cfg)
+    _check_size(cfg, experiment)
     return cfg
 
 
@@ -283,10 +304,12 @@ def _run_tune(cfg, out):
     for r in result.cell_rows:
         cell = (r.c1, r.c2, r.n_blocks, r.block_length)
         err_rows.append((*cell, r.err_mean))
+        frac = r.selected_count / result.n_reps
         study_rows += [
             (*cell, "mse", r.mse, r.mse_stderr),
-            (*cell, "err_mean", r.err_mean, 0),
-            (*cell, "selected_frac", r.selected_count / result.n_reps, 0),
+            (*cell, "err_mean", r.err_mean, r.err_stderr),
+            # Selections are 0 or 1 per replication: the binomial standard error.
+            (*cell, "selected_frac", frac, math.sqrt(frac * (1.0 - frac) / result.n_reps)),
         ]
     study_rows.append((None, None, None, None, "adaptive_mse", result.adaptive_mse, result.adaptive_stderr))
     paths = [os.path.join(out, "tune_err_grid.csv"), os.path.join(out, "tune_study.csv")]

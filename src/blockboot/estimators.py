@@ -1,22 +1,22 @@
 """Bootstrap distribution estimates and percentile confidence bounds.
 
-``quantile_deviation_prob`` and ``cdf_deviation_prob`` evaluate the Monte
-Carlo bootstrap CDF at a single point without materializing the replicate
-values: a resampled quantile falls below a threshold exactly when the pasted
-series holds at least ``ceil(b*ell*p)`` observations below it, which reduces
-each replicate to a sum of per-block exceedance counts.  For the same seed
-these shortcuts agree with evaluating the full
-:func:`~blockboot.resample.bootstrap_quantile_distribution` object.
+A resampled quantile falls below a threshold exactly when the pasted series
+holds at least ``ceil(b*ell*p)`` observations below it, so every estimate
+reads the law of a sum of block counts from
+:func:`~blockboot.resample.count_sum_law`: Monte Carlo on the start matrix
+seeded by ``rp.seed``, agreeing bit for bit with the pasting definitions in
+:mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import BlockPlan, ResamplePlan, _check_plan, _start_matrix, bootstrap_quantile_distribution, sliding_counts
+from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
+from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law
 from .seeding import substream
 
 __all__ = [
@@ -34,30 +34,48 @@ class CiResult:
     lower: float
     alpha: float
     plan: BlockPlan
-    n_boot: int
+    n_boot: int | None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
 
+def _starts(n: int, rp: ResamplePlan):
+    """Start matrix of ``rp`` (row ``j`` holds replicate ``j``'s block starts); ``None`` when ``rp`` is exact."""
+    if rp.n_boot is not None:
+        return substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks))
+
+
 def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> CiResult:
     """Lower percentile confidence bound for the p-quantile.
 
     The interval is ``[q_hat - G^{-1}(alpha) / sqrt(n), infinity)`` where
-    ``q_hat`` is the sample quantile and ``G`` the Monte Carlo bootstrap
-    distribution of the scaled quantile statistic.
+    ``q_hat`` is the sample quantile and ``G`` the bootstrap distribution of
+    the scaled quantile statistic.  ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)``
+    at the smallest observation ``v`` with ``P*(quantile <= v) >= alpha``, found
+    by bisection; the largest observation always qualifies and is not searched.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values = as_values(series)
-    dist = bootstrap_quantile_distribution(values, rp, p)
-    lower = sample_quantile(values, p) - dist.quantile(alpha) / np.sqrt(values.size)
+    b, ell = _check_plan(values.size, rp.plan)
+    center = block_averaged_quantile(values, ell, p)
+    k = order_stat_index(b * ell, p)
+    starts, ordered = _starts(values.size, rp), np.sort(values)
+
+    def reaches_alpha(i):
+        # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
+        weights, total = count_sum_law(values <= ordered[i], rp.plan, starts)
+        return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
+
+    v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
+    lower = sample_quantile(values, p) - np.sqrt(b * ell) * (v - center) / np.sqrt(values.size)
     return CiResult(lower=float(lower), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
 
 
 def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> float:
-    """Monte Carlo probability that the scaled bootstrap quantile deviation is ``<= x``.
+    """Bootstrap probability that the scaled quantile deviation is ``<= x``.
 
     Agrees with ``bootstrap_quantile_distribution(series, rp, p).cdf(x)`` for
     the same seed, but runs in O(n + n_boot * n_blocks) per call.
@@ -67,25 +85,21 @@ def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> flo
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     threshold = center + x / np.sqrt(b * ell)
-    counts = sliding_counts(values <= threshold, ell)
-    starts = _start_matrix(substream(rp.seed), values.size, rp.plan, rp.n_boot)
-    hits = counts[starts].sum(axis=1) >= k
-    return float(np.count_nonzero(hits) / rp.n_boot)
+    weights, total = count_sum_law(values <= threshold, rp.plan, _starts(values.size, rp))
+    return float(weights[k:].sum() / total)
 
 
 def cdf_deviation_prob(series, rp: ResamplePlan, x: float, y: float) -> float:
-    """Monte Carlo probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``.
+    """Bootstrap probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``.
 
     Estimates the conditional probability of
-    ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y`` over ``rp.n_boot`` replicates;
-    agrees with sequential :func:`~blockboot.resample.cdf_statistic` calls on
-    a generator seeded by ``rp.seed``.
+    ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``; with an integer ``rp.n_boot``
+    it agrees with sequential :func:`~blockboot.resample.cdf_statistic`
+    calls on a generator seeded by ``rp.seed``.
     """
     values = as_values(series)
     b, ell = _check_plan(values.size, rp.plan)
     center = block_averaged_cdf(values, ell, x)
-    counts = sliding_counts(values <= x, ell)
-    starts = _start_matrix(substream(rp.seed), values.size, rp.plan, rp.n_boot)
     bound = center * (b * ell) + y * np.sqrt(b * ell)
-    hits = counts[starts].sum(axis=1) <= bound
-    return float(np.count_nonzero(hits) / rp.n_boot)
+    weights, total = count_sum_law(values <= x, rp.plan, _starts(values.size, rp))
+    return float(weights[np.arange(weights.size) <= bound].sum() / total)

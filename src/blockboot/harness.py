@@ -29,7 +29,7 @@ from . import __version__
 from .empirical import order_stat_index
 from .estimators import cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from .models import ModelSpec, simulate_batch
-from .resample import BlockPlan, ResamplePlan, exact_quantile_distribution
+from .resample import BlockPlan, ResamplePlan
 from .seeding import subseed, substream
 from .tuning import TuneConfig, argmin_cell, grid_diagnostics, plan_from_constants
 
@@ -223,6 +223,7 @@ class AdaptiveCellRow:
     n_blocks: int
     block_length: int
     err_mean: float
+    err_stderr: float
     mse: float
     mse_stderr: float
     selected_count: int
@@ -342,21 +343,23 @@ def _squared_errors(estimates, g_ref):
     return d2, d2 * d2
 
 
+def _resample_plans(cfg, plans, rep):
+    """Per-cell resample plans of replication ``rep``; exact laws (``n_boot=None``) when ``cfg.exact``."""
+    return [ResamplePlan(plan, None if cfg.exact else cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
+
+
 def _mse_rep(cfg, series, rep, plans, g_ref):
-    if cfg.exact:
-        estimates = [exact_quantile_distribution(series, plan, cfg.p).cdf(cfg.x) for plan in plans]
-    else:
-        estimates = [quantile_deviation_prob(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.p, cfg.x) for ci, plan in enumerate(plans)]
+    estimates = [quantile_deviation_prob(series, rp, cfg.p, cfg.x) for rp in _resample_plans(cfg, plans, rep)]
     return _squared_errors(estimates, g_ref)
 
 
 def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
-    estimates = [cdf_deviation_prob(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.x, cfg.y) for ci, plan in enumerate(plans)]
+    estimates = [cdf_deviation_prob(series, rp, cfg.x, cfg.y) for rp in _resample_plans(cfg, plans, rep)]
     return _squared_errors(estimates, g_ref)
 
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
-    lowers = [lower_confidence_bound(series, ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)), cfg.p, cfg.alpha).lower for ci, plan in enumerate(plans)]
+    lowers = [lower_confidence_bound(series, rp, cfg.p, cfg.alpha).lower for rp in _resample_plans(cfg, plans, rep)]
     # int64 counts: adding bool arrays would be a logical or.
     return ((q_true >= np.asarray(lowers)).astype(np.int64),)
 
@@ -366,7 +369,8 @@ def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
     best = argmin_cell(diags)
     d2, d4 = _squared_errors([d.full_sample_prob for d in diags], g_ref)
     selected = (np.arange(len(diags)) == best).astype(np.int64)
-    return np.array([d.err for d in diags]), d2, d4, selected, d2[best], d4[best]
+    err = np.array([d.err for d in diags])
+    return err, err**2, d2, d4, selected, d2[best], d4[best]
 
 
 _META_FIELDS = ("n", "p", "x", "y", "alpha", "n_reps", "n_boot", "master_seed")
@@ -395,7 +399,7 @@ def mse_grid(cfg: ExperimentConfig) -> GridResult:
 
     For each plan, averages ``(G_hat(x) - G_ref)**2`` over ``cfg.n_reps``
     independent series, where each ``G_hat`` uses ``cfg.n_boot`` bootstrap
-    replicates (or exact enumeration when ``cfg.exact``).
+    replicates (or the exact conditional law when ``cfg.exact``).
     """
     ref = _resolve_reference(cfg, "quantile")
     plans = cfg.grid.plans(cfg.n)
@@ -439,14 +443,15 @@ def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
         c1_grid=cfg.c1_grid,
         c2_grid=cfg.c2_grid,
         x=cfg.x,
-        n_boot=cfg.n_boot,
+        n_boot=None if cfg.exact else cfg.n_boot,
         seed=cfg.master_seed,
         subsample_len=cfg.subsample_len,
         subsample_count=cfg.subsample_count,
         rho=cfg.rho,
         p=cfg.p,
     )
-    err_sum, s2, s4, selected, a2, a4 = _replicate(cfg, _tune_rep, tune_cfg, ref.value)
+    err_sum, err_sq, s2, s4, selected, a2, a4 = _replicate(cfg, _tune_rep, tune_cfg, ref.value)
+    err_mean, err_stderr = _mean_stderr(err_sum, err_sq, cfg.n_reps)
     mse, stderr = _mean_stderr(s2, s4, cfg.n_reps)
     adaptive_mse, adaptive_stderr = _mean_stderr(a2, a4, cfg.n_reps)
     cells = [(c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
@@ -459,7 +464,8 @@ def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
                 c2=c2,
                 n_blocks=plan.n_blocks,
                 block_length=plan.block_length,
-                err_mean=float(err_sum[ci] / cfg.n_reps),
+                err_mean=float(err_mean[ci]),
+                err_stderr=float(err_stderr[ci]),
                 mse=float(mse[ci]),
                 mse_stderr=float(stderr[ci]),
                 selected_count=int(selected[ci]),

@@ -10,8 +10,8 @@ The centered, scaled statistic for one resample is
 
     ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``,
 
-whose conditional distribution given the data is what the Monte Carlo and
-exact-enumeration constructors below estimate and enumerate.
+whose law is that of a sum of ``b`` i.i.d. window counts (:func:`count_sum_law`);
+the functions that paste blocks are the definitions the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ __all__ = [
     "paste_blocks",
     "quantile_statistic",
     "cdf_statistic",
+    "count_sum_law",
     "bootstrap_quantile_distribution",
     "exact_quantile_distribution",
 ]
 
-_CHUNK_ROWS = 8192
-
-
 class ResourceLimitError(RuntimeError):
-    """Raised when an exact enumeration would exceed its configured cap."""
+    """Raised when a computation would exceed a size limit."""
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,14 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """A block plan together with a replicate budget and seed."""
+    """A block plan with a replicate budget and seed; ``n_boot=None`` asks for the exact law."""
 
     plan: BlockPlan
-    n_boot: int
+    n_boot: int | None
     seed: int
 
     def __post_init__(self):
-        if self.n_boot < 1:
+        if self.n_boot is not None and self.n_boot < 1:
             raise ValueError("n_boot must be at least 1")
 
 
@@ -110,10 +108,6 @@ class EmpiricalDistribution:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", int(self.total))
 
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / self.total
-
     def cdf(self, x):
         """Total probability of atoms with value ``<= x`` (non-strict)."""
         cum = np.cumsum(self.counts)
@@ -140,14 +134,8 @@ def _check_plan(n: int, plan: BlockPlan) -> tuple[int, int]:
 
 def draw_block_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarray:
     """Draw ``n_blocks`` i.i.d. uniform block starts from ``{0, ..., n-ell}``."""
-    return _start_matrix(rng, n, plan, 1)[0]
-
-
-def _start_matrix(rng: np.random.Generator, n: int, plan: BlockPlan, count: int) -> np.ndarray:
-    # Row j holds the starts of replicate j; row-major generation makes this
-    # identical to `count` successive draw_block_starts calls on one stream.
     b, ell = _check_plan(n, plan)
-    return rng.integers(0, n - ell + 1, size=(count, b))
+    return rng.integers(0, n - ell + 1, size=b)
 
 
 def paste_blocks(series, starts, block_length: int) -> np.ndarray:
@@ -160,19 +148,6 @@ def paste_blocks(series, starts, block_length: int) -> np.ndarray:
     if starts.size == 0 or np.any(starts < 0) or np.any(starts > values.size - ell):
         raise ValueError("block starts must lie in {0, ..., n - ell}")
     return values[starts[:, None] + np.arange(ell)].ravel()
-
-
-def _stats_from_starts(values: np.ndarray, starts: np.ndarray, ell: int, k: int, center: float) -> np.ndarray:
-    """Scaled quantile statistics for each row of a start matrix."""
-    count, b = starts.shape
-    scale = np.sqrt(b * ell)
-    offsets = np.arange(ell)
-    out = np.empty(count)
-    for lo in range(0, count, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, count)
-        windows = values[starts[lo:hi, :, None] + offsets].reshape(hi - lo, b * ell)
-        out[lo:hi] = np.partition(windows, k - 1, axis=1)[:, k - 1]
-    return scale * (out - center)
 
 
 def quantile_statistic(series, plan: BlockPlan, p: float, rng: np.random.Generator, center: float | None = None) -> float:
@@ -202,12 +177,6 @@ def quantile_statistic(series, plan: BlockPlan, p: float, rng: np.random.Generat
     return float(np.sqrt(b * ell) * (np.partition(pasted, k - 1)[k - 1] - center))
 
 
-def sliding_counts(indicator: np.ndarray, ell: int) -> np.ndarray:
-    """Number of ones of ``indicator`` in each window of ``ell`` consecutive entries."""
-    cum = np.concatenate(([0], np.cumsum(indicator, dtype=np.int64)))
-    return cum[ell:] - cum[:-ell]
-
-
 def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, center: float | None = None) -> float:
     """One replicate of the scaled deviation of the resampled CDF at ``x``.
 
@@ -220,9 +189,27 @@ def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, c
     if center is None:
         center = block_averaged_cdf(values, ell, x)
     starts = draw_block_starts(rng, values.size, plan)
-    counts = sliding_counts(values <= x, ell)
-    fstar = counts[starts].sum() / (b * ell)
+    fstar = np.count_nonzero(paste_blocks(values, starts, ell) <= x) / (b * ell)
     return float(np.sqrt(b * ell) * (fstar - center))
+
+
+def count_sum_law(indicator, plan: BlockPlan, starts) -> tuple[np.ndarray, int]:
+    """Weights over ``0..b*ell`` of the number of ones of ``indicator`` pasted in ``plan``'s blocks, and their total.
+
+    Monte Carlo: integer tallies over the rows (one replicate's block starts each) of ``starts``, total ``len(starts)``.
+    Exact (``starts=None``): the ``b``-fold convolution of the window-count pmf by binary powering, total 1.
+    """
+    b, ell = _check_plan(len(indicator), plan)
+    cum = np.concatenate(([0], np.cumsum(indicator, dtype=np.int64)))
+    counts = cum[ell:] - cum[:-ell]
+    if starts is not None:
+        return np.bincount(counts[starts].sum(axis=1), minlength=b * ell + 1), len(starts)
+    law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
+    while b:
+        law = np.convolve(law, power) if b & 1 else law
+        b >>= 1
+        power = np.convolve(power, power) if b else power
+    return law, 1
 
 
 def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> EmpiricalDistribution:
@@ -238,18 +225,21 @@ def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> Empir
     b, ell = _check_plan(values.size, rp.plan)
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
-    starts = _start_matrix(substream(rp.seed), values.size, rp.plan, rp.n_boot)
-    stats = _stats_from_starts(values, starts, ell, k, center)
-    atoms, counts = np.unique(stats, return_counts=True)
+    # Row j holds the starts of replicate j; row-major generation makes this
+    # identical to n_boot successive draw_block_starts calls on one stream.
+    starts = substream(rp.seed).integers(0, values.size - ell + 1, size=(rp.n_boot, b))
+    pasted = values[starts[:, :, None] + np.arange(ell)].reshape(rp.n_boot, b * ell)
+    stats = np.partition(pasted, k - 1, axis=1)[:, k - 1]
+    atoms, counts = np.unique(np.sqrt(b * ell) * (stats - center), return_counts=True)
     return EmpiricalDistribution(values=atoms, counts=counts, total=rp.n_boot)
 
 
 def exact_quantile_distribution(series, plan: BlockPlan, p: float, max_tuples: int = 10**6) -> EmpiricalDistribution:
     """Exact conditional distribution of the quantile statistic.
 
-    Enumerates all ``(n - ell + 1) ** b`` equally likely start tuples and
-    aggregates the statistic values with integer multiplicities, realizing
-    the conditional law the Monte Carlo estimator targets.
+    The resampled quantile is always an observation.  The multiplicities are
+    the probabilities :func:`count_sum_law` gives of it being ``<= v`` at each
+    distinct observation ``v``, times the ``(n - ell + 1) ** b`` start tuples, rounded.
 
     Raises
     ------
@@ -258,17 +248,13 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float, max_tuples: i
     """
     values = as_values(series)
     b, ell = _check_plan(values.size, plan)
-    m = values.size - ell + 1
-    total = m**b
+    total = (values.size - ell + 1) ** b
     if total > max_tuples:
         raise ResourceLimitError(f"{total} start tuples exceed the cap of {max_tuples}")
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
-    stats = np.empty(total)
-    shape = (m,) * b
-    for lo in range(0, total, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, total)
-        starts = np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=1)
-        stats[lo:hi] = _stats_from_starts(values, starts, ell, k, center)
-    atoms, counts = np.unique(stats, return_counts=True)
-    return EmpiricalDistribution(values=atoms, counts=counts, total=total)
+    atoms = np.unique(values)
+    below = np.array([count_sum_law(values <= v, plan, None)[0][k:].sum() for v in atoms])
+    counts = np.diff(np.rint(below * total).astype(np.int64), prepend=0)
+    keep = counts > 0
+    return EmpiricalDistribution(values=np.sqrt(b * ell) * (atoms[keep] - center), counts=counts[keep], total=total)

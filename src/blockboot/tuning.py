@@ -53,8 +53,8 @@ class TuneConfig:
         Candidate constants for the number of blocks and the block length.
     x : float
         Evaluation point of the bootstrap CDF estimates.
-    n_boot : int
-        Bootstrap replicates per CDF evaluation (full sample and subsamples).
+    n_boot : int or None
+        Bootstrap replicates per CDF evaluation (full sample and subsamples), or ``None`` for the exact law.
     seed : int
         Master seed; every evaluation derives an independent substream from
         it, keyed by the candidate constants and the subsample window.
@@ -71,7 +71,7 @@ class TuneConfig:
     c1_grid: tuple
     c2_grid: tuple
     x: float
-    n_boot: int
+    n_boot: int | None
     seed: int
     subsample_len: int | None = None
     subsample_count: int = 20

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blockboot import cli
 from blockboot.cli import main
+from blockboot.resample import ResourceLimitError
 
 TINY_GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
 
@@ -99,15 +100,34 @@ MALFORMED = {
     "degenerate block length": ("tune", dict(TUNE, c1_grid=[1.0], c2_grid=[0.1]), "'c2_grid'"),
     "no candidate at the subsample length": ("tune", dict(TUNE, c1_grid=[0.3], subsample_len=8), "'c1_grid'"),
     "subsample longer than n": ("tune", dict(TUNE, c1_grid=[1.0], subsample_len=65), "'subsample_len'"),
-    "exact in coverage-grid": ("coverage-grid", dict(alpha=0.9, exact=True), "'exact'"),
-    "exact in cdf-mse-grid": ("cdf-mse-grid", dict(y=0.9, exact=True), "'exact'"),
-    "exact in tune": ("tune", dict(TUNE, c1_grid=[1.0], exact=True), "'exact'"),
     "exact in reference": ("reference", dict(exact=True), "'exact'"),
     "rate-study cell longer than a size": ("rate-study", dict(n_list=[30, 60, 90], grid={"cells": [[1, 40]]}), "'grid'"),
     "rate-study with two sizes": ("rate-study", dict(n_list=[30, 60]), "'n_list'"),
     "reference kind unknown": ("reference", dict(kind="median"), "'kind'"),
     "polymix nu not finite": ("mse-grid", dict(model={"name": "polymix", "nu": math.inf}), "model.'nu'"),
 }
+
+
+# Config entries over tiny_entries() under which each bootstrap subcommand runs.
+EXACT_RUNS = {
+    "mse-grid": dict(),
+    "rate-study": dict(n_list=[30, 60, 90]),
+    "cdf-mse-grid": dict(y=0.9),
+    "coverage-grid": dict(alpha=0.9),
+    "tune": dict(TUNE, c1_grid=[1.0]),
+}
+
+
+class TestExactMode:
+    @pytest.mark.parametrize("command", sorted(EXACT_RUNS))
+    def test_exact_runs(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(exact=True, **EXACT_RUNS[command]))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["exact"] is True
+        for path in out.glob("*.csv"):
+            lines = path.read_text().splitlines()
+            assert len(lines) > 1 and all(line.split(",")[-1] != "nan" for line in lines)
 
 
 class TestMalformedValues:
@@ -152,18 +172,32 @@ def test_build_config_raises_config_error_or_gives_a_usable_config(raw, command)
     args = cli.make_parser().parse_args([command, "--config", "unused.yaml"])
     try:
         cfg = cli.build_config(raw, args)
-    except cli.ConfigError:
+    except (cli.ConfigError, ResourceLimitError):
         return
     assert cfg.grid.plans(cfg.n)
 
 
+# (subcommand, config entries over tiny_entries(), key the exit-3 message names)
+OVERSIZED = {
+    "n": ("mse-grid", dict(n=10**30), "'n'"),
+    "bootstrap_samples": ("mse-grid", dict(bootstrap_samples=10**12), "'bootstrap_samples'"),
+    "n_list": ("rate-study", dict(n_list=[30, 60, 10**9]), "'n_list'"),
+}
+
+
 class TestResourceLimit:
-    def test_exact_cap_exit_code(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.yaml",
-            **tiny_entries(n=200, exact=True, grid={"cells": [[3, 30]]}, replications=2),
-        )
-        assert main(["mse-grid", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    @pytest.mark.parametrize("case", sorted(OVERSIZED))
+    def test_exit_3_names_key(self, tmp_path, capsys, case):
+        command, overrides, key = OVERSIZED[case]
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(**overrides))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_allowed_reference_chunk_builds(self):
+        args = cli.make_parser().parse_args(["reference", "--config", "unused.yaml"])
+        cfg = cli.build_config(dict(model="arma11", x=1.0, n=cli._MAX_ALLOCATION // 10_000), args)
+        assert cfg.n == 10_000
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blockboot.empirical import block_averaged_cdf, order_stat_index
+from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot.estimators import CiResult, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from blockboot.resample import (
     BlockPlan,
@@ -11,6 +13,7 @@ from blockboot.resample import (
     ResamplePlan,
     bootstrap_quantile_distribution,
     cdf_statistic,
+    exact_quantile_distribution,
     quantile_statistic,
 )
 from blockboot.seeding import substream
@@ -100,7 +103,73 @@ class TestFastPaths:
         assert abs(got - exact) <= 3 * math.sqrt(exact * (1 - exact) / 50_000) + 1e-12
 
 
+def brute_force_prob(values, b, ell, event):
+    """Share of all start tuples whose pasted series (a plain list) satisfies ``event``."""
+    tuples = list(itertools.product(range(len(values) - ell + 1), repeat=b))
+    hits = sum(1 for combo in tuples if event([v for s in combo for v in values[s : s + ell]]))
+    return float(Fraction(hits, len(tuples)))
+
+
+def tiny_instance(rng):
+    n = int(rng.integers(3, 10))
+    ell = int(rng.integers(1, min(3, n) + 1))
+    b = int(rng.integers(1, 5))
+    values = rng.standard_normal(n)
+    return values, b, ell, float(rng.standard_normal())
+
+
+class TestExactLaw:
+    def test_quantile_deviation_prob_matches_brute_force(self):
+        rng = substream(41)
+        for trial in range(40):
+            values, b, ell, x = tiny_instance(rng)
+            p = int(rng.integers(1, 10)) / 10
+            k = order_stat_index(b * ell, p)
+            center = block_averaged_quantile(values, ell, p)
+            expected = brute_force_prob(values.tolist(), b, ell, lambda pasted: math.sqrt(b * ell) * (sorted(pasted)[k - 1] - center) <= x)
+            got = quantile_deviation_prob(values, ResamplePlan(BlockPlan(b, ell), None, trial), p, x)
+            assert abs(got - expected) <= 1e-12
+
+    def test_cdf_deviation_prob_matches_brute_force(self):
+        rng = substream(42)
+        for trial in range(40):
+            values, b, ell, y = tiny_instance(rng)
+            x = float(rng.standard_normal())
+            center = block_averaged_cdf(values, ell, x)
+            expected = brute_force_prob(values.tolist(), b, ell, lambda pasted: math.sqrt(b * ell) * (sum(v <= x for v in pasted) / (b * ell) - center) <= y)
+            got = cdf_deviation_prob(values, ResamplePlan(BlockPlan(b, ell), None, trial), x, y)
+            assert abs(got - expected) <= 1e-12
+
+    def test_lower_bound_matches_exact_distribution(self):
+        rng = substream(43)
+        for _ in range(40):
+            values, b, ell, _ = tiny_instance(rng)
+            p, alpha = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
+            plan = BlockPlan(b, ell)
+            expected = sample_quantile(values, p) - exact_quantile_distribution(values, plan, p).quantile(alpha) / np.sqrt(values.size)
+            result = lower_confidence_bound(values, ResamplePlan(plan, None, 0), p, alpha)
+            assert result.lower == expected and result.n_boot is None
+
+
 class TestLowerConfidenceBound:
+    def test_bisection_equals_pasted_distribution(self):
+        # Bit for bit against the full pasted law, with tied values in half the
+        # instances and n_boot * alpha an integer in a third of them.
+        rng = substream(44)
+        for trial in range(300):
+            n = int(rng.integers(2, 41))
+            values = rng.integers(0, 6, size=n).astype(float) if trial % 2 else rng.standard_normal(n)
+            ell = int(rng.integers(1, n + 1))
+            if trial % 3:
+                n_boot, alpha = int(rng.integers(1, 300)), float(rng.uniform(0.01, 0.99))
+            else:
+                n_boot, alpha = 20 * int(rng.integers(1, 15)), float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.9, 0.95]))
+            rp = ResamplePlan(BlockPlan(int(rng.integers(1, 7)), ell), n_boot, trial)
+            p = float(rng.uniform(0.01, 0.99))
+            expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
+            assert lower_confidence_bound(values, rp, p, alpha).lower == expected
+
+
     def test_constant_series(self):
         result = lower_confidence_bound(np.full(20, 4.2), ResamplePlan(BlockPlan(4, 3), 200, 5), 0.5, 0.9)
         assert result.lower == 4.2

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,8 @@ from blockboot.harness import (
     replication_seed,
 )
 from blockboot.models import ModelSpec, arma11_model, constant_model, simulate_batch, squared_arma23_model
-from blockboot.resample import BlockPlan, exact_quantile_distribution
+from blockboot.estimators import quantile_deviation_prob
+from blockboot.resample import BlockPlan, ResamplePlan
 from blockboot.seeding import substream
 
 TABLE_MBB_PAIRS = {
@@ -146,7 +148,7 @@ class TestMseGrid:
             acc = 0.0
             for rep in range(15):
                 series = simulate_batch(cfg.model, 12, 1, substream(replication_seed(11, rep)))[0]
-                estimate = exact_quantile_distribution(series, BlockPlan(b, ell), 0.5).cdf(1.0)
+                estimate = quantile_deviation_prob(series, ResamplePlan(BlockPlan(b, ell), None, 0), 0.5, 1.0)
                 acc += (estimate - 0.6) ** 2
             assert result.rows[ci].value == acc / 15
 
@@ -159,6 +161,18 @@ class TestMseGrid:
         assert sub.n_blocks == 1
         mbb = result.mbb_min()
         assert mbb.n_blocks == 40 // mbb.block_length
+
+
+class TestExactGrids:
+    @pytest.mark.parametrize("grid_fn,extra", [(mse_grid, {}), (cdf_mse_grid, {"x": 0.0, "y": 0.9, "ref_value": 0.85})])
+    def test_exact_and_monte_carlo_grids_agree(self, grid_fn, extra):
+        # Both grids see the same series; the Monte Carlo one adds bootstrap noise.
+        cfg = tiny_config(n_reps=30, n_boot=2000, **extra)
+        mc, exact = grid_fn(cfg).rows, grid_fn(replace(cfg, exact=True)).rows
+        for m, e in zip(mc, exact):
+            assert (m.n_blocks, m.block_length) == (e.n_blocks, e.block_length)
+            assert m.value != e.value
+            assert abs(m.value - e.value) <= 4 * m.stderr
 
 
 class TestCdfMseGrid:

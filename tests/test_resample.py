@@ -168,10 +168,6 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             EmpiricalDistribution(values=np.array([]), counts=np.array([]), total=0)
 
-    def test_probs_sum_to_one(self):
-        dist = EmpiricalDistribution(values=np.array([0.0, 1.0, 3.0]), counts=np.array([3, 4, 9]), total=16)
-        assert abs(dist.probs.sum() - 1.0) < 1e-9
-
 
 class TestExactDistribution:
     def test_single_block_atom_count(self):
