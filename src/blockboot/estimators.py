@@ -1,11 +1,12 @@
 """Bootstrap distribution estimates and percentile confidence bounds.
 
 A resampled quantile falls below a threshold exactly when the pasted series
-holds at least ``ceil(b*ell*p)`` observations below it, so every estimate
-reads the law of a sum of block counts from
+holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
+and the exact-law bound read the law of a sum of block counts from
 :func:`~blockboot.resample.count_sum_law`: Monte Carlo on the start matrix
 seeded by ``rp.seed``, agreeing bit for bit with the pasting definitions in
-:mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.
+:mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.  The
+Monte Carlo percentile bound reads the pasted law itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law
+from .resample import BlockPlan, ResamplePlan, _check_plan, bootstrap_quantile_distribution, count_sum_law
 from .seeding import substream
 
 __all__ = [
@@ -47,30 +48,44 @@ def _starts(n: int, rp: ResamplePlan):
         return substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks))
 
 
+def _bootstrap_quantile_by_bisection(values, plan: BlockPlan, p: float, alpha: float, starts) -> float:
+    """``G^{-1}(alpha)`` of the law :func:`~blockboot.resample.count_sum_law` gives on ``starts`` (exact when ``None``).
+
+    ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)`` at the smallest observation
+    ``v`` with ``P*(quantile <= v) >= alpha``, found by bisection; the largest
+    observation always qualifies and is not searched.
+    """
+    b, ell = _check_plan(values.size, plan)
+    center = block_averaged_quantile(values, ell, p)
+    k = order_stat_index(b * ell, p)
+    ordered = np.sort(values)
+
+    def reaches_alpha(i):
+        # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
+        weights, total = count_sum_law(values <= ordered[i], plan, starts)
+        return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
+
+    v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
+    return np.sqrt(b * ell) * (v - center)
+
+
 def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> CiResult:
     """Lower percentile confidence bound for the p-quantile.
 
     The interval is ``[q_hat - G^{-1}(alpha) / sqrt(n), infinity)`` where
     ``q_hat`` is the sample quantile and ``G`` the bootstrap distribution of
-    the scaled quantile statistic.  ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)``
-    at the smallest observation ``v`` with ``P*(quantile <= v) >= alpha``, found
-    by bisection; the largest observation always qualifies and is not searched.
+    the scaled quantile statistic: the pasted Monte Carlo law
+    (:func:`~blockboot.resample.bootstrap_quantile_distribution`), or, when
+    ``rp.n_boot`` is ``None``, the exact law searched by bisection.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values = as_values(series)
-    b, ell = _check_plan(values.size, rp.plan)
-    center = block_averaged_quantile(values, ell, p)
-    k = order_stat_index(b * ell, p)
-    starts, ordered = _starts(values.size, rp), np.sort(values)
-
-    def reaches_alpha(i):
-        # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
-        weights, total = count_sum_law(values <= ordered[i], rp.plan, starts)
-        return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
-
-    v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
-    lower = sample_quantile(values, p) - np.sqrt(b * ell) * (v - center) / np.sqrt(values.size)
+    if rp.n_boot is None:
+        g_inv = _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, None)
+    else:
+        g_inv = bootstrap_quantile_distribution(values, rp, p).quantile(alpha)
+    lower = sample_quantile(values, p) - g_inv / np.sqrt(values.size)
     return CiResult(lower=float(lower), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
 
 

@@ -11,7 +11,8 @@ The centered, scaled statistic for one resample is
     ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``,
 
 whose law is that of a sum of ``b`` i.i.d. window counts (:func:`count_sum_law`);
-the functions that paste blocks are the definitions the kernel is tested against.
+the functions that paste blocks are the definitions the kernel is tested against,
+and :func:`bootstrap_quantile_distribution` also gives the Monte Carlo percentile bound.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from blockboot.estimators import CiResult, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
+from blockboot.estimators import CiResult, _bootstrap_quantile_by_bisection, _starts, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
@@ -153,8 +153,9 @@ class TestExactLaw:
 
 class TestLowerConfidenceBound:
     def test_bisection_equals_pasted_distribution(self):
-        # Bit for bit against the full pasted law, with tied values in half the
-        # instances and n_boot * alpha an integer in a third of them.
+        # The bisection behind the exact-law bound, run on a Monte Carlo start
+        # matrix, bit for bit against the full pasted law, with tied values in
+        # half the instances and n_boot * alpha an integer in a third of them.
         rng = substream(44)
         for trial in range(300):
             n = int(rng.integers(2, 41))
@@ -166,8 +167,8 @@ class TestLowerConfidenceBound:
                 n_boot, alpha = 20 * int(rng.integers(1, 15)), float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.9, 0.95]))
             rp = ResamplePlan(BlockPlan(int(rng.integers(1, 7)), ell), n_boot, trial)
             p = float(rng.uniform(0.01, 0.99))
-            expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
-            assert lower_confidence_bound(values, rp, p, alpha).lower == expected
+            expected = bootstrap_quantile_distribution(values, rp, p).quantile(alpha)
+            assert _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, _starts(n, rp)) == expected
 
 
     def test_constant_series(self):
