@@ -144,6 +144,20 @@ _REQUIRED = {
     "rate-study": ("model", "x", "n_list"),
 }
 
+# Keys each experiment reads besides its required keys and _SHARED; build_config
+# warns about any other key, which the run would ignore.
+_SHARED = ("experiment", "out", "model", "seed", "workers")
+_REPLICATED = ("replications", "bootstrap_samples", "exact")
+_REFERENCE = ("ref_replications", "ref_value", "ref_values")
+_OPTIONAL = {
+    "reference": ("kind", "n", "p", "y", "ref_replications"),
+    "mse-grid": ("n", "p", "grid", *_REPLICATED, *_REFERENCE),
+    "coverage-grid": ("n", "p", "grid", *_REPLICATED),
+    "cdf-mse-grid": ("n", "grid", *_REPLICATED, *_REFERENCE),
+    "tune": ("n", "p", *_REPLICATED, *_REFERENCE, "c1_grid", "c2_grid", "subsample_len", "subsample_count", "rho"),
+    "rate-study": ("p", "grid", *_REPLICATED, *_REFERENCE),
+}
+
 EXPERIMENTS = tuple(_REQUIRED)
 
 # Largest number of values (array elements or chunk tasks) a run may hold in
@@ -256,9 +270,13 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
     """Assemble and validate an ExperimentConfig from a parsed config mapping and CLI overrides."""
     experiment = _experiment(raw, args)
     fields = _fields(_with_overrides(raw, args), _KEYS)
-    for key in _REQUIRED.get(experiment, ("model",)):
+    for key in _REQUIRED[experiment]:
         if raw.get(key) is None:
             raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
+    read = {*_SHARED, *_REQUIRED[experiment], *_OPTIONAL[experiment]}
+    for key in raw:
+        if key not in read:
+            print(f"warning: config key {key!r} is not read by {experiment}; it is ignored", file=sys.stderr)
     cfg = harness.ExperimentConfig(**fields)
     for n in (cfg.n, *cfg.n_list):
         try:

@@ -2,11 +2,11 @@
 
 A resampled quantile falls below a threshold exactly when the pasted series
 holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
-and the exact-law bound read the law of a sum of block counts from
+and the percentile bound read the law of a sum of block counts from
 :func:`~blockboot.resample.count_sum_law`: Monte Carlo on the start matrix
 seeded by ``rp.seed``, agreeing bit for bit with the pasting definitions in
 :mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.  The
-Monte Carlo percentile bound reads the pasted law itself.
+bound finds ``G^{-1}(alpha)`` by bisection over that law; nothing is pasted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import BlockPlan, ResamplePlan, _check_plan, bootstrap_quantile_distribution, count_sum_law
+from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law
 from .seeding import substream
 
 __all__ = [
@@ -43,9 +43,12 @@ class CiResult:
 
 
 def _starts(n: int, rp: ResamplePlan):
-    """Start matrix of ``rp`` (row ``j`` holds replicate ``j``'s block starts); ``None`` when ``rp`` is exact."""
+    """Start matrix of ``rp``, ``(b, n_boot)`` C-contiguous so the kernel sums gathers over rows; ``None`` when exact.
+
+    Drawn as ``(n_boot, b)``: column ``j`` holds the draws of the ``j``-th of ``n_boot`` ``draw_block_starts`` calls.
+    """
     if rp.n_boot is not None:
-        return substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks))
+        return np.ascontiguousarray(substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks)).T)
 
 
 def _bootstrap_quantile_by_bisection(values, plan: BlockPlan, p: float, alpha: float, starts) -> float:
@@ -74,17 +77,14 @@ def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> 
 
     The interval is ``[q_hat - G^{-1}(alpha) / sqrt(n), infinity)`` where
     ``q_hat`` is the sample quantile and ``G`` the bootstrap distribution of
-    the scaled quantile statistic: the pasted Monte Carlo law
-    (:func:`~blockboot.resample.bootstrap_quantile_distribution`), or, when
-    ``rp.n_boot`` is ``None``, the exact law searched by bisection.
+    the scaled quantile statistic, searched by bisection: the Monte Carlo law (bit for bit
+    ``bootstrap_quantile_distribution(series, rp, p).quantile(alpha)``) or, when
+    ``rp.n_boot`` is ``None``, the exact law.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values = as_values(series)
-    if rp.n_boot is None:
-        g_inv = _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, None)
-    else:
-        g_inv = bootstrap_quantile_distribution(values, rp, p).quantile(alpha)
+    g_inv = _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, _starts(values.size, rp))
     lower = sample_quantile(values, p) - g_inv / np.sqrt(values.size)
     return CiResult(lower=float(lower), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
 

@@ -16,6 +16,8 @@ that rectangle.
 from __future__ import annotations
 
 import functools
+import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .empirical import order_stat_index
 from .estimators import cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from .models import ModelSpec, simulate_batch
@@ -567,20 +569,30 @@ def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _code_fingerprint() -> str:
+    """The numpy version and a short hash of the ``models`` source, on which simulated values depend."""
+    digest = hashlib.sha256(inspect.getsource(models).encode("utf-8")).hexdigest()[:12]
+    return f"numpy={np.__version__}|models={digest}"
+
+
 class ReferenceCache:
-    """JSON-file cache of reference values keyed by the full simulation settings."""
+    """JSON-file cache of reference values keyed by the full simulation settings and the code fingerprint.
+
+    A change to the simulation code or to numpy changes the fingerprint, so a
+    value cached by other code misses and is simulated again.
+    """
 
     def __init__(self, path: str | None = None):
         self.path = path
+        self._fingerprint = _code_fingerprint()
         self._store: dict = {}
         if path is not None and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
                 self._store = json.load(handle)
 
-    @staticmethod
-    def _key(model: ModelSpec, n: int, kind: str, x: float, y: float | None, p: float, n_sims: int, seed: int) -> str:
+    def _key(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None, p: float, n_sims: int, seed: int) -> str:
         params = ",".join(f"{k}={model.params[k]!r}" for k in sorted(model.params))
-        return f"{model.kind}[{params}]|n={n}|{kind}|p={p!r}|x={x!r}|y={y!r}|sims={n_sims}|seed={seed}"
+        return f"{model.kind}[{params}]|n={n}|{kind}|p={p!r}|x={x!r}|y={y!r}|sims={n_sims}|seed={seed}|{self._fingerprint}"
 
     def get_or_compute(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None = None, p: float = 0.5, n_sims: int = 1_000_000, seed: int = 0, workers: int = 1) -> RefResult:
         key = self._key(model, n, kind, x, y, p, n_sims, seed)

@@ -11,8 +11,8 @@ The centered, scaled statistic for one resample is
     ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``,
 
 whose law is that of a sum of ``b`` i.i.d. window counts (:func:`count_sum_law`);
-the functions that paste blocks are the definitions the kernel is tested against,
-and :func:`bootstrap_quantile_distribution` also gives the Monte Carlo percentile bound.
+every estimate reads that kernel, and the functions that paste blocks are the
+definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -197,14 +197,14 @@ def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, c
 def count_sum_law(indicator, plan: BlockPlan, starts) -> tuple[np.ndarray, int]:
     """Weights over ``0..b*ell`` of the number of ones of ``indicator`` pasted in ``plan``'s blocks, and their total.
 
-    Monte Carlo: integer tallies over the rows (one replicate's block starts each) of ``starts``, total ``len(starts)``.
+    Monte Carlo: integer tallies over the columns (one replicate's block starts each) of the ``(b, n_boot)`` matrix ``starts``, total ``n_boot``.
     Exact (``starts=None``): the ``b``-fold convolution of the window-count pmf by binary powering, total 1.
     """
     b, ell = _check_plan(len(indicator), plan)
     cum = np.concatenate(([0], np.cumsum(indicator, dtype=np.int64)))
     counts = cum[ell:] - cum[:-ell]
     if starts is not None:
-        return np.bincount(counts[starts].sum(axis=1), minlength=b * ell + 1), len(starts)
+        return np.bincount(counts[starts].sum(axis=0), minlength=b * ell + 1), starts.shape[1]
     law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
     while b:
         law = np.convolve(law, power) if b & 1 else law

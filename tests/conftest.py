@@ -11,7 +11,8 @@ CACHE_PATH = os.path.join(os.path.dirname(__file__), "_ref_cache.json")
 def ref_cache():
     """Disk-backed cache of reference simulations, shared across the session.
 
-    Keys embed the full simulation settings, so stale entries cannot be
+    Keys embed the full simulation settings and the code fingerprint (numpy
+    version, hash of the ``models`` source), so stale entries cannot be
     returned; delete ``tests/_ref_cache.json`` to force recomputation.
     """
     return ReferenceCache(CACHE_PATH)

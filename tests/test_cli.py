@@ -144,6 +144,32 @@ class TestMalformedValues:
         assert "'workers'" in capsys.readouterr().err
 
 
+# (subcommand, config entries over tiny_entries(), keys the run does not read)
+UNREAD = {
+    "mse-grid": ("mse-grid", dict(c1_grid=[1.0], alpha=0.9, n_list=[30, 60, 90], y=0.5), ["c1_grid", "alpha", "n_list", "y"]),
+    "reference": ("reference", dict(replications=None, ref_value=None, bootstrap_samples=None, ref_replications=500, grid=TINY_GRID), ["grid"]),
+    "coverage-grid": ("coverage-grid", dict(alpha=0.9, replications=2), ["x", "ref_value"]),
+    "tune": ("tune", dict(TUNE, c1_grid=[1.0]), ["grid"]),
+    "rate-study": ("rate-study", dict(n_list=[30, 60, 90], replications=2), ["n"]),
+}
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_one_warning_per_unread_key(self, tmp_path, capsys, case):
+        command, overrides, unread = UNREAD[case]
+        entries = {key: value for key, value in tiny_entries(**overrides).items() if value is not None}
+        cfg = write_config(tmp_path / "c.yaml", **entries)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert sorted(warnings) == sorted(f"warning: config key {key!r} is not read by {command}; it is ignored" for key in unread)
+
+    def test_read_tables_cover_every_experiment_with_known_keys(self):
+        assert set(cli._OPTIONAL) == set(cli._REQUIRED)
+        for experiment in cli.EXPERIMENTS:
+            assert {*cli._REQUIRED[experiment], *cli._OPTIONAL[experiment], *cli._SHARED} <= set(cli._KEYS)
+
+
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from blockboot.estimators import CiResult, _bootstrap_quantile_by_bisection, _starts, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
+from blockboot import estimators, resample
+from blockboot.estimators import CiResult, _starts, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
     ResamplePlan,
     bootstrap_quantile_distribution,
     cdf_statistic,
+    draw_block_starts,
     exact_quantile_distribution,
     quantile_statistic,
 )
@@ -153,23 +155,43 @@ class TestExactLaw:
 
 class TestLowerConfidenceBound:
     def test_bisection_equals_pasted_distribution(self):
-        # The bisection behind the exact-law bound, run on a Monte Carlo start
-        # matrix, bit for bit against the full pasted law, with tied values in
-        # half the instances and n_boot * alpha an integer in a third of them.
+        # The Monte Carlo bound (a bisection over count tallies) bit for bit
+        # against the full pasted law, with tied values in half the instances,
+        # n_boot * alpha an integer in a third, b = 1 in a quarter and ell = n
+        # in a fifth.
         rng = substream(44)
         for trial in range(300):
             n = int(rng.integers(2, 41))
             values = rng.integers(0, 6, size=n).astype(float) if trial % 2 else rng.standard_normal(n)
-            ell = int(rng.integers(1, n + 1))
+            ell = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
+            b = 1 if trial % 4 == 0 else int(rng.integers(1, 7))
             if trial % 3:
                 n_boot, alpha = int(rng.integers(1, 300)), float(rng.uniform(0.01, 0.99))
             else:
                 n_boot, alpha = 20 * int(rng.integers(1, 15)), float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.9, 0.95]))
-            rp = ResamplePlan(BlockPlan(int(rng.integers(1, 7)), ell), n_boot, trial)
+            rp = ResamplePlan(BlockPlan(b, ell), n_boot, trial)
             p = float(rng.uniform(0.01, 0.99))
-            expected = bootstrap_quantile_distribution(values, rp, p).quantile(alpha)
-            assert _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, _starts(n, rp)) == expected
+            expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
+            result = lower_confidence_bound(values, rp, p, alpha)
+            assert result.lower == expected and result.n_boot == n_boot
 
+    def test_bound_pastes_nothing(self, monkeypatch):
+        def paste(*args, **kwargs):
+            raise AssertionError("lower_confidence_bound pasted the bootstrap law")
+
+        monkeypatch.setattr(resample, "bootstrap_quantile_distribution", paste)
+        monkeypatch.setattr(estimators, "bootstrap_quantile_distribution", paste, raising=False)
+        values = substream(45).standard_normal(60)
+        assert math.isfinite(lower_confidence_bound(values, ResamplePlan(BlockPlan(5, 6), 500, 1), 0.5, 0.9).lower)
+
+    def test_start_matrix_is_block_major(self):
+        n, rp = 30, ResamplePlan(BlockPlan(4, 7), 50, 12)
+        starts = _starts(n, rp)
+        assert starts.shape == (4, 50) and starts.flags.c_contiguous
+        rng = substream(rp.seed)
+        for j in range(rp.n_boot):
+            assert np.array_equal(starts[:, j], draw_block_starts(rng, n, rp.plan))
+        assert _starts(n, ResamplePlan(rp.plan, None, 12)) is None
 
     def test_constant_series(self):
         result = lower_confidence_bound(np.full(20, 4.2), ResamplePlan(BlockPlan(4, 3), 200, 5), 0.5, 0.9)

@@ -7,12 +7,15 @@ later.  Any change to which random draws an experiment consumes, to the order
 in which it sums, or to the CSV format shows up here.
 The cases are tiny (a few seconds in total) and cover Monte Carlo and exact
 ``mse-grid``, ``cdf-mse-grid``, ``coverage-grid``, a ``tune`` run spanning
-three replication chunks, both reference kinds and ``rate-study``.
+three replication chunks, both reference kinds and ``rate-study``.  Each
+config holds only keys its subcommand reads (``coverage-grid`` once also
+carried ``x`` and ``ref_value``, ``tune`` a ``grid``, none of which they read).
 """
 
 import pytest
 import yaml
 
+from blockboot import cli
 from blockboot.cli import main
 
 GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
@@ -22,10 +25,16 @@ CASES = {
     "mse-grid": ("mse-grid", BASE),
     "mse-grid-exact": ("mse-grid", dict(BASE, n=12, grid={"cells": [[2, 2], [1, 3]]}, replications=6, exact=True, ref_value=0.6)),
     "cdf-mse-grid": ("cdf-mse-grid", dict(BASE, x=0.0, y=0.9, ref_value=0.85)),
-    "coverage-grid": ("coverage-grid", dict(BASE, model={"name": "polymix", "nu": 6.0, "n_terms": 20}, alpha=0.9, replications=10, bootstrap_samples=60)),
+    "coverage-grid": (
+        "coverage-grid",
+        dict(model={"name": "polymix", "nu": 6.0, "n_terms": 20}, n=40, grid=GRID, alpha=0.9, replications=10, bootstrap_samples=60, seed=3),
+    ),
     "tune": (
         "tune",
-        dict(BASE, n=64, replications=70, bootstrap_samples=20, c1_grid=[0.5, 1.0], c2_grid=[0.5, 1.0], subsample_len=27, subsample_count=3, ref_value=0.75),
+        dict(
+            model="arma11", n=64, x=1.0, replications=70, bootstrap_samples=20, c1_grid=[0.5, 1.0], c2_grid=[0.5, 1.0], subsample_len=27,
+            subsample_count=3, ref_value=0.75, seed=3,
+        ),
     ),
     "reference-quantile": ("reference", dict(model="arma11", n=30, x=1.0, kind="quantile", ref_replications=3000, seed=5)),
     "reference-cdf": ("reference", dict(model="arma23sq", n=30, x=0.5, y=0.4, kind="cdf", ref_replications=3000, seed=5)),
@@ -148,3 +157,10 @@ def test_csvs_match_golden(tmp_path, case, workers):
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(GOLDEN[case])
     for name, text in GOLDEN[case].items():
         assert (out / name).read_text() == text, name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_configs_hold_only_read_keys(capsys, case):
+    command, entries = CASES[case]
+    cli.build_config(yaml.safe_load(yaml.safe_dump(entries)), cli.make_parser().parse_args([command, "--config", "unused.yaml"]))
+    assert capsys.readouterr().err == ""

@@ -3,6 +3,7 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from blockboot import harness
@@ -374,6 +375,24 @@ class TestReferenceCache:
         reloaded = ReferenceCache(str(tmp_path / "cache.json"))
         c = reloaded.get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
         assert c == a and calls["n"] == 1
+
+    def test_changed_code_fingerprint_misses_and_recomputes(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        real = harness.reference_value
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reference_value", counting)
+        path = tmp_path / "cache.json"
+        current = harness._code_fingerprint()
+        assert current.startswith(f"numpy={np.__version__}|models=")
+        ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
+        monkeypatch.setattr(harness, "_code_fingerprint", lambda: "numpy=0.0|models=000000000000")
+        ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
+        assert calls["n"] == 2
+        assert sorted(key.split("|seed=9|")[1] for key in json.loads(path.read_text())) == sorted([current, "numpy=0.0|models=000000000000"])
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ReferenceCache(str(tmp_path / "cache.json"))
