@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 scripts/bench_pairs.py --pr 4 --parent HEAD~1 --seed 100 --seconds 22 \\
+    python3 scripts/bench_pairs.py --pr N --parent REV --seed 100 --seconds 22 \\
         coverage_grid=10 mse_grid=3 tune=3 reference=3
 
 The parent commit's files are extracted with ``git archive`` into a temporary

@@ -164,11 +164,6 @@ class TestUnreadKeys:
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
         assert sorted(warnings) == sorted(f"warning: config key {key!r} is not read by {command}; it is ignored" for key in unread)
 
-    def test_read_tables_cover_every_experiment_with_known_keys(self):
-        assert set(cli._OPTIONAL) == set(cli._REQUIRED)
-        for experiment in cli.EXPERIMENTS:
-            assert {*cli._REQUIRED[experiment], *cli._OPTIONAL[experiment], *cli._SHARED} <= set(cli._KEYS)
-
 
 SCALARS = st.one_of(
     st.none(),
