@@ -2,14 +2,15 @@
 
 Usage (from the repository root)::
 
-    python3 scripts/bench_pairs.py --pr N --parent REV --seed 100 --seconds 22 \\
+    python3 scripts/bench_pairs.py --pr N --parent REV --seed 100 \\
         coverage_grid=10 mse_grid=3 tune=3 reference=3
 
 The parent commit's files are extracted with ``git archive`` into a temporary
 directory; the change is this checkout's working tree.  For each
 ``workload=pairs`` argument, pair ``i`` runs ``benchmarks/run.py --workload
-<workload> --seed <seed + i> --seconds <seconds> --trace 0`` once on each side,
-the parent first in even pairs and the change first in odd ones.  For every
+<workload> --seed <seed + i> --seconds <run_seconds> --trace 0`` once on each
+side, with the ``run_seconds`` that ``BENCHMARK.json`` declares, the parent
+first in even pairs and the change first in odd ones.  For every
 end-to-end metric that ``BENCHMARK.json`` declares, the output holds each
 side's runs, median and quartiles, the change's median relative to the
 parent's, and the share of pairs the change wins (ties count for neither),
@@ -78,14 +79,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=22.0, help="run length of every run.py run")
     parser.add_argument("pairs", nargs="+", help="workload=pairs, e.g. coverage_grid=10")
     args = parser.parse_args(argv)
     plan = {name: int(count) for name, count in (item.split("=", 1) for item in args.pairs)}
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
 
     out = {"pr": args.pr, "parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD"), "change_tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
-    out.update(seconds=args.seconds, trace=0, first_seed=args.seed, workloads={})
+    out.update(seconds=seconds, trace=0, first_seed=args.seed, workloads={})
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         extract(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
             for i in range(count):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed + i, args.seconds))
+                    runs[side].append(run_once(sides[side], workload, args.seed + i, seconds))
                     print(f"{workload} pair {i} {side}: " + json.dumps(runs[side][-1]["metrics"]), file=sys.stderr, flush=True)
             out.setdefault("environment", runs["change"][0]["environment"])
             out["workloads"][workload] = {
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
                 "seeds": [args.seed + i for i in range(count)],
                 "failed_rounds": {side: sum(run["failed"] for run in runs[side]) for side in runs},
                 "attempted_rounds": {side: sum(run["attempted"] for run in runs[side]) for side in runs},
-                "metrics": {metric["name"]: summarise(metric, runs["parent"], runs["change"]) for metric in declared},
+                "metrics": {metric["name"]: summarise(metric, runs["parent"], runs["change"]) for metric in declared["end_to_end"]},
             }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

@@ -145,7 +145,7 @@ _REQUIRED = {
 }
 
 # Keys each experiment reads besides its required keys and _SHARED; build_config
-# warns about any other key, which the run would ignore.
+# warns about any other key, which the run does not use but still validates.
 _SHARED = ("experiment", "out", "model", "seed", "workers")
 _REPLICATED = ("replications", "bootstrap_samples", "exact")
 _REFERENCE = ("ref_replications", "ref_value", "ref_values")
@@ -276,7 +276,7 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
     read = {*_SHARED, *_REQUIRED[experiment], *_OPTIONAL[experiment]}
     for key in raw:
         if key not in read:
-            print(f"warning: config key {key!r} is not read by {experiment}; it is ignored", file=sys.stderr)
+            print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
     cfg = harness.ExperimentConfig(**fields)
     for n in (cfg.n, *cfg.n_list):
         try:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, models
+from . import __version__, empirical, models, seeding
 from .empirical import order_stat_index
 from .estimators import cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
 from .models import ModelSpec, simulate_batch
@@ -570,9 +570,15 @@ def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list
 
 
 def _code_fingerprint() -> str:
-    """The numpy version and a short hash of the ``models`` source, on which simulated values depend."""
-    digest = hashlib.sha256(inspect.getsource(models).encode("utf-8")).hexdigest()[:12]
-    return f"numpy={np.__version__}|models={digest}"
+    """The numpy version and a short hash of the code a reference value runs.
+
+    That is the ``models``, ``seeding`` and ``empirical`` sources, the
+    reference functions of this module and their chunk size and seed tag.
+    """
+    parts = [inspect.getsource(obj) for obj in (models, seeding, empirical, reference_seed, _run_chunked, _reference_chunk, reference_value)]
+    parts += [repr((_REF_CHUNK, _TAG_REFERENCE))]
+    digest = hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()[:12]
+    return f"numpy={np.__version__}|code={digest}"
 
 
 class ReferenceCache:

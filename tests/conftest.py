@@ -12,7 +12,7 @@ def ref_cache():
     """Disk-backed cache of reference simulations, shared across the session.
 
     Keys embed the full simulation settings and the code fingerprint (numpy
-    version, hash of the ``models`` source), so stale entries cannot be
-    returned; delete ``tests/_ref_cache.json`` to force recomputation.
+    version, hash of the code a reference value runs), so stale entries cannot
+    be returned; delete ``tests/_ref_cache.json`` to force recomputation.
     """
     return ReferenceCache(CACHE_PATH)

@@ -162,7 +162,23 @@ class TestUnreadKeys:
         cfg = write_config(tmp_path / "c.yaml", **entries)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
-        assert sorted(warnings) == sorted(f"warning: config key {key!r} is not read by {command}; it is ignored" for key in unread)
+        assert sorted(warnings) == sorted(f"warning: config key {key!r} is not used by {command}; its value is still checked" for key in unread)
+
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("tune", dict(TUNE, c1_grid=[1.0], grid={"cells": [[1, 65]]}), "grid"),
+            ("reference", dict(replications=None, ref_value=None, ref_replications=500, bootstrap_samples=10**12), "bootstrap_samples"),
+        ],
+        ids=["grid under tune", "bootstrap_samples under reference"],
+    )
+    def test_unused_key_is_still_checked(self, tmp_path, capsys, command, overrides, key):
+        entries = {k: v for k, v in tiny_entries(**overrides).items() if v is not None}
+        cfg = write_config(tmp_path / "c.yaml", **entries)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (2, 3)
+        err = capsys.readouterr().err
+        assert f"warning: config key {key!r} is not used by {command}; its value is still checked" in err
+        assert f"error: config key {key!r}" in err or f"limit: config key {key!r}" in err
 
 
 SCALARS = st.one_of(

@@ -1,4 +1,5 @@
 import json
+import inspect
 import math
 import os
 from dataclasses import replace
@@ -387,12 +388,20 @@ class TestReferenceCache:
         monkeypatch.setattr(harness, "reference_value", counting)
         path = tmp_path / "cache.json"
         current = harness._code_fingerprint()
-        assert current.startswith(f"numpy={np.__version__}|models=")
+        assert current.startswith(f"numpy={np.__version__}|code=")
         ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
-        monkeypatch.setattr(harness, "_code_fingerprint", lambda: "numpy=0.0|models=000000000000")
+        monkeypatch.setattr(harness, "_code_fingerprint", lambda: "numpy=0.0|code=000000000000")
         ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
         assert calls["n"] == 2
-        assert sorted(key.split("|seed=9|")[1] for key in json.loads(path.read_text())) == sorted([current, "numpy=0.0|models=000000000000"])
+        assert sorted(key.split("|seed=9|")[1] for key in json.loads(path.read_text())) == sorted([current, "numpy=0.0|code=000000000000"])
+
+    @pytest.mark.parametrize("name", ["models", "seeding", "empirical", "reference_seed", "_run_chunked", "_reference_chunk", "reference_value"])
+    def test_fingerprint_covers_the_reference_code(self, monkeypatch, name):
+        current = harness._code_fingerprint()
+        target = getattr(harness, name)
+        real = inspect.getsource
+        monkeypatch.setattr(harness.inspect, "getsource", lambda obj: real(obj) + ("# edited" if obj is target else ""))
+        assert harness._code_fingerprint() != current
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ReferenceCache(str(tmp_path / "cache.json"))
