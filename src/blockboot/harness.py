@@ -569,11 +569,13 @@ def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
 def _code_fingerprint() -> str:
     """The numpy version and a short hash of the code a reference value runs.
 
     That is the ``models``, ``seeding`` and ``empirical`` sources, the
-    reference functions of this module and their chunk size and seed tag.
+    reference functions of this module and their chunk size and seed tag,
+    hashed once per process.
     """
     parts = [inspect.getsource(obj) for obj in (models, seeding, empirical, reference_seed, _run_chunked, _reference_chunk, reference_value)]
     parts += [repr((_REF_CHUNK, _TAG_REFERENCE))]
