@@ -3,8 +3,11 @@
 Each subcommand reads a YAML (or JSON) config file describing an
 :class:`~blockboot.harness.ExperimentConfig`, runs the experiment, and writes
 plot-ready CSV files plus a ``manifest.json`` echoing the configuration.
-Exit codes: 0 success, 2 config error (the message names the key),
-3 a run larger than the size limit (the message names the key).
+``_COMMANDS`` declares every subcommand once: its runner, the keys it
+requires and reads, and its extra check.  The whole config is checked before
+the output directory is created.  Exit codes: 0 success, 2 config error (the
+message names the key), 3 a run larger than the size limit (the message
+names the key).
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _ref_values(value) -> tuple:
 
 
 def _model(value):
-    fields = _fields(_dict(value), _MODEL_KEYS, "model.")
+    fields = _fields({"name": value} if isinstance(value, str) else _dict(value), _MODEL_KEYS, "model.")
     if "name" not in fields:
         raise ConfigError("missing required config key: model.'name'")
     return model_from_name(**fields)
@@ -135,41 +138,14 @@ _KEYS = {
     "workers": ("workers", _count),
 }
 
-_REQUIRED = {
-    "reference": ("model", "x"),
-    "mse-grid": ("model", "x"),
-    "coverage-grid": ("model", "alpha"),
-    "cdf-mse-grid": ("model", "x", "y"),
-    "tune": ("model", "x"),
-    "rate-study": ("model", "x", "n_list"),
-}
-
-# Keys each experiment reads besides its required keys and _SHARED; build_config
-# warns about any other key, which the run does not use but still validates.
+# Keys every subcommand reads, and groups of keys several subcommands read.
 _SHARED = ("experiment", "out", "model", "seed", "workers")
 _REPLICATED = ("replications", "bootstrap_samples", "exact")
 _REFERENCE = ("ref_replications", "ref_value", "ref_values")
-_OPTIONAL = {
-    "reference": ("kind", "n", "p", "y", "ref_replications"),
-    "mse-grid": ("n", "p", "grid", *_REPLICATED, *_REFERENCE),
-    "coverage-grid": ("n", "p", "grid", *_REPLICATED),
-    "cdf-mse-grid": ("n", "grid", *_REPLICATED, *_REFERENCE),
-    "tune": ("n", "p", *_REPLICATED, *_REFERENCE, "c1_grid", "c2_grid", "subsample_len", "subsample_count", "rho"),
-    "rate-study": ("p", "grid", *_REPLICATED, *_REFERENCE),
-}
-
-EXPERIMENTS = tuple(_REQUIRED)
 
 # Largest number of values (array elements or chunk tasks) a run may hold in
 # one allocation; 10**8 float64 values take 800 MB.
 _MAX_ALLOCATION = 10**8
-
-# Grid experiments: the harness function and the CSV it fills.
-_GRIDS = {
-    "mse-grid": ("mse_grid", "mse_grid.csv"),
-    "cdf-mse-grid": ("cdf_mse_grid", "cdf_mse_grid.csv"),
-    "coverage-grid": ("coverage_grid", "coverage_grid.csv"),
-}
 
 
 def _fields(raw: dict, table: dict, prefix: str = "") -> dict:
@@ -201,15 +177,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a mapping of keys to values")
     return raw
-
-
-def _with_overrides(raw: dict, args) -> dict:
-    """``raw`` with the command-line overrides applied."""
-    given = {key: value for key, value in vars(args).items() if value is not None}
-    model = {"name": raw["model"]} if isinstance(raw.get("model"), str) else raw.get("model")
-    if isinstance(model, dict):
-        model = {**model, **{key: given[key] for key in ("nu", "n_terms") if key in given}}
-    return {**raw, **{key: given[key] for key in ("seed", "workers", "out") if key in given}, "model": model}
 
 
 def _degenerate(n: int, key: str, c: float) -> bool:
@@ -269,11 +236,15 @@ def _experiment(raw: dict, args) -> str:
 def build_config(raw: dict, args) -> harness.ExperimentConfig:
     """Assemble and validate an ExperimentConfig from a parsed config mapping and CLI overrides."""
     experiment = _experiment(raw, args)
-    fields = _fields(_with_overrides(raw, args), _KEYS)
-    for key in _REQUIRED[experiment]:
+    overrides = {key: getattr(args, key) for key in ("seed", "workers", "out") if getattr(args, key) is not None}
+    fields = _fields({**raw, **overrides}, _KEYS)
+    _, required, optional, check = _COMMANDS[experiment]
+    if experiment == "reference":  # kind 'cdf' needs the point y; kind 'quantile' reads the level p
+        required, optional = (required + ("y",), optional) if raw.get("kind") == "cdf" else (required, optional + ("p",))
+    for key in required:
         if raw.get(key) is None:
             raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
-    read = {*_SHARED, *_REQUIRED[experiment], *_OPTIONAL[experiment]}
+    read = {*_SHARED, *required, *optional}
     for key in raw:
         if key not in read:
             print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
@@ -283,40 +254,48 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
             cfg.grid.plans(n)
         except ValueError as exc:
             raise ConfigError(f"config key 'grid' is invalid at n={n}: {exc}") from exc
-    if cfg.exact and experiment == "reference":
-        raise ConfigError("config key 'exact' does not apply to reference, which runs no bootstrap")
-    if experiment == "rate-study" and len(cfg.n_list) < 3:
-        raise ConfigError("config key 'n_list' must hold at least three sample sizes")
-    if experiment == "tune":
-        _check_tune(cfg)
+    if check is not None:
+        check(cfg)
     _check_size(cfg, experiment)
     return cfg
 
 
-def _run_reference(cfg, raw, out):
+def _check_reference(cfg: harness.ExperimentConfig) -> None:
+    if cfg.exact:
+        raise ConfigError("config key 'exact' does not apply to reference, which runs no bootstrap")
+
+
+def _check_rate(cfg: harness.ExperimentConfig) -> None:
+    if len(cfg.n_list) < 3:
+        raise ConfigError("config key 'n_list' must hold at least three sample sizes")
+
+
+# Runners take (experiment, cfg, raw, out), write the subcommand's CSVs into
+# ``out`` and return their paths.  They look the harness entry points up when
+# they run, so that a wrapper put on a ``harness`` attribute sees the call.
+def _run_reference(experiment, cfg, raw, out):
     kind = raw.get("kind") or "quantile"
-    if kind == "cdf" and cfg.y is None:
-        raise ConfigError("missing required config key: 'y' (needed by reference kind='cdf')")
     cache = harness.ReferenceCache(os.path.join(out, "reference_cache.json"))
     ref = cache.get_or_compute(cfg.model, cfg.n, kind, cfg.x, y=cfg.y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
     path = os.path.join(out, "reference.csv")
     header = ("model", "n", "kind", "x", "y", "value", "stderr", "n_sims")
     harness.write_csv(path, header, [(cfg.model.kind, cfg.n, kind, cfg.x, cfg.y, ref.value, ref.stderr, ref.n_sims)])
-    print(f"reference {ref.value:.6g} (stderr {ref.stderr:.3g}, {ref.n_sims} sims) -> {path}")
+    print(f"{experiment} {ref.value:.6g} (stderr {ref.stderr:.3g}, {ref.n_sims} sims) -> {path}")
     return [path]
 
 
-def _run_grid(cfg, out, experiment):
-    name, filename = _GRIDS[experiment]
+def _run_grid(experiment, cfg, raw, out):
+    # A grid subcommand 'a-b' runs harness.a_b and writes a_b.csv.
+    name = experiment.replace("-", "_")
     result = getattr(harness, name)(cfg)
-    path = os.path.join(out, filename)
+    path = os.path.join(out, f"{name}.csv")
     harness.write_grid_csv(path, result)
     best = result.min_row()
     print(f"{experiment}: {len(result.rows)} cells, min {best.value:.6g} at (b={best.n_blocks}, ell={best.block_length}) -> {path}")
     return [path]
 
 
-def _run_tune(cfg, out):
+def _run_tune(experiment, cfg, raw, out):
     result = harness.adaptive_study(cfg)
     err_rows, study_rows = [], []
     for r in result.cell_rows:
@@ -334,36 +313,32 @@ def _run_tune(cfg, out):
     harness.write_csv(paths[0], ("c1", "c2", "b_n", "ell_n", "err"), err_rows)
     harness.write_csv(paths[1], ("c1", "c2", "b", "ell", "metric", "value", "stderr"), study_rows)
     print(
-        f"tune: adaptive mse {result.adaptive_mse:.6g} vs fixed-cell range "
+        f"{experiment}: adaptive mse {result.adaptive_mse:.6g} vs fixed-cell range "
         f"[{result.best_cell_mse():.6g}, {result.worst_cell_mse():.6g}] -> {paths[1]}"
     )
     return paths
 
 
-def _run_rate(cfg, out):
+def _run_rate(experiment, cfg, raw, out):
     result = harness.rate_study(cfg)
     written = harness.write_rate_csvs(out, result)
-    print(f"rate-study: slope {result.slope:.4f} over n={list(cfg.n_list)} -> {written[0]}")
+    print(f"{experiment}: slope {result.slope:.4f} over n={list(cfg.n_list)} -> {written[0]}")
     return written
 
 
-def run_experiment(experiment: str, raw: dict, args) -> int:
-    """Dispatch one experiment; returns the written output paths."""
-    cfg = build_config(raw, args)
-    out = _with_overrides(raw, args).get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    if experiment in _GRIDS:
-        outputs = _run_grid(cfg, out, experiment)
-    elif experiment == "reference":
-        outputs = _run_reference(cfg, raw, out)
-    elif experiment == "tune":
-        outputs = _run_tune(cfg, out)
-    elif experiment == "rate-study":
-        outputs = _run_rate(cfg, out)
-    else:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    harness.write_manifest(os.path.join(out, "manifest.json"), experiment, cfg, outputs)
-    return 0
+# Subcommand -> (runner, required keys, other keys read besides _SHARED, extra
+# check).  build_config warns about every other key, which the run does not
+# use but still validates; under reference, the kind adds y or p.
+_COMMANDS = {
+    "reference": (_run_reference, ("model", "x"), ("kind", "n", "ref_replications"), _check_reference),
+    "mse-grid": (_run_grid, ("model", "x"), ("n", "p", "grid", *_REPLICATED, *_REFERENCE), None),
+    "coverage-grid": (_run_grid, ("model", "alpha"), ("n", "p", "grid", *_REPLICATED), None),
+    "cdf-mse-grid": (_run_grid, ("model", "x", "y"), ("n", "grid", *_REPLICATED, *_REFERENCE), None),
+    "tune": (_run_tune, ("model", "x"), ("n", "p", *_REPLICATED, *_REFERENCE, "c1_grid", "c2_grid", "subsample_len", "subsample_count", "rho"), _check_tune),
+    "rate-study": (_run_rate, ("model", "x", "n_list"), ("p", "grid", *_REPLICATED, *_REFERENCE), _check_rate),
+}
+
+EXPERIMENTS = tuple(_COMMANDS)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -375,8 +350,6 @@ def make_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
         cmd.add_argument("--workers", type=int, default=None, help="override the worker count")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--nu", type=float, default=None, help="override the polymix decay exponent")
-        cmd.add_argument("--n-terms", dest="n_terms", type=int, default=None, help="override the polymix truncation point")
     return parser
 
 
@@ -384,7 +357,13 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         raw = _load_config(args.config)
-        return run_experiment(_experiment(raw, args), raw, args)
+        experiment = _experiment(raw, args)
+        cfg = build_config(raw, args)
+        out = (raw.get("out") if args.out is None else args.out) or "."
+        os.makedirs(out, exist_ok=True)
+        outputs = _COMMANDS[experiment][0](experiment, cfg, raw, out)
+        harness.write_manifest(os.path.join(out, "manifest.json"), experiment, cfg, outputs)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -587,16 +587,21 @@ class ReferenceCache:
     """JSON-file cache of reference values keyed by the full simulation settings and the code fingerprint.
 
     A change to the simulation code or to numpy changes the fingerprint, so a
-    value cached by other code misses and is simulated again.
+    value cached by other code misses and is simulated again.  Each write
+    first merges in the entries on disk, so caches sharing a file keep each
+    other's values unless two of them write at the same moment.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._fingerprint = _code_fingerprint()
-        self._store: dict = {}
-        if path is not None and os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                self._store = json.load(handle)
+        self._store: dict = self._on_disk()
+
+    def _on_disk(self) -> dict:
+        if self.path is None or not os.path.exists(self.path):
+            return {}
+        with open(self.path, encoding="utf-8") as handle:
+            return json.load(handle)
 
     def _key(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None, p: float, n_sims: int, seed: int) -> str:
         params = ",".join(f"{k}={model.params[k]!r}" for k in sorted(model.params))
@@ -608,6 +613,7 @@ class ReferenceCache:
             ref = reference_value(model, n, kind, x, y=y, p=p, n_sims=n_sims, seed=seed, workers=workers)
             self._store[key] = {"value": ref.value, "stderr": ref.stderr, "n_sims": ref.n_sims}
             if self.path is not None:
+                self._store = {**self._on_disk(), **self._store}
                 _write_atomic(self.path, json.dumps(self._store, indent=2, sort_keys=True) + "\n")
         entry = self._store[key]
         return RefResult(value=entry["value"], stderr=entry["stderr"], n_sims=entry["n_sims"])

@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockboot import cli
+from blockboot import cli, harness
 from blockboot.cli import main
 from blockboot.resample import ResourceLimitError
 
@@ -104,6 +104,7 @@ MALFORMED = {
     "rate-study cell longer than a size": ("rate-study", dict(n_list=[30, 60, 90], grid={"cells": [[1, 40]]}), "'grid'"),
     "rate-study with two sizes": ("rate-study", dict(n_list=[30, 60]), "'n_list'"),
     "reference kind unknown": ("reference", dict(kind="median"), "'kind'"),
+    "reference kind cdf without y": ("reference", dict(kind="cdf"), "'y'"),
     "polymix nu not finite": ("mse-grid", dict(model={"name": "polymix", "nu": math.inf}), "model.'nu'"),
 }
 
@@ -137,6 +138,7 @@ class TestMalformedValues:
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries(**overrides))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_workers_override_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries())
@@ -144,10 +146,15 @@ class TestMalformedValues:
         assert "'workers'" in capsys.readouterr().err
 
 
+# Entries over tiny_entries() that leave only keys reference reads.
+REFERENCE = dict(replications=None, ref_value=None, bootstrap_samples=None, grid=None, ref_replications=500)
+
 # (subcommand, config entries over tiny_entries(), keys the run does not read)
 UNREAD = {
     "mse-grid": ("mse-grid", dict(c1_grid=[1.0], alpha=0.9, n_list=[30, 60, 90], y=0.5), ["c1_grid", "alpha", "n_list", "y"]),
     "reference": ("reference", dict(replications=None, ref_value=None, bootstrap_samples=None, ref_replications=500, grid=TINY_GRID), ["grid"]),
+    "reference y under kind quantile": ("reference", dict(REFERENCE, kind="quantile", y=0.5), ["y"]),
+    "reference p under kind cdf": ("reference", dict(REFERENCE, kind="cdf", y=0.5, p=0.3), ["p"]),
     "coverage-grid": ("coverage-grid", dict(alpha=0.9, replications=2), ["x", "ref_value"]),
     "tune": ("tune", dict(TUNE, c1_grid=[1.0]), ["grid"]),
     "rate-study": ("rate-study", dict(n_list=[30, 60, 90], replications=2), ["n"]),
@@ -235,6 +242,38 @@ class TestResourceLimit:
         args = cli.make_parser().parse_args(["reference", "--config", "unused.yaml"])
         cfg = cli.build_config(dict(model="arma11", x=1.0, n=cli._MAX_ALLOCATION // 10_000), args)
         assert cfg.n == 10_000
+
+
+# The harness function each subcommand runs, under the name the benchmark tracer rebinds.
+ENTRY_POINTS = {
+    "reference": ("reference_value", REFERENCE),
+    "mse-grid": ("mse_grid", dict()),
+    "coverage-grid": ("coverage_grid", dict(alpha=0.9)),
+    "cdf-mse-grid": ("cdf_mse_grid", dict(y=0.9)),
+    "tune": ("adaptive_study", dict(TUNE, c1_grid=[1.0])),
+    "rate-study": ("rate_study", dict(n_list=[30, 60, 90], replications=2)),
+}
+
+
+class TestDispatch:
+    def test_every_subcommand_has_an_entry_point(self):
+        assert sorted(ENTRY_POINTS) == sorted(cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
+    def test_runs_the_harness_attribute_at_call_time(self, tmp_path, monkeypatch, command):
+        name, overrides = ENTRY_POINTS[command]
+        calls = []
+        real = getattr(harness, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+        entries = {key: value for key, value in tiny_entries(**overrides).items() if value is not None}
+        cfg = write_config(tmp_path / "c.yaml", **entries)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [name]
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ config holds only keys its subcommand reads, so no run warns.
 import pytest
 import yaml
 
+from blockboot import cli
 from blockboot.cli import main
 
 GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
@@ -156,3 +157,7 @@ def test_csvs_match_golden(tmp_path, capsys, case, workers):
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(GOLDEN[case])
     for name, text in GOLDEN[case].items():
         assert (out / name).read_text() == text, name
+
+
+def test_cases_cover_every_subcommand():
+    assert {command for command, _ in CASES.values()} == set(cli.EXPERIMENTS)

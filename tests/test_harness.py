@@ -404,6 +404,14 @@ class TestReferenceCache:
         monkeypatch.setattr(harness.inspect, "getsource", lambda obj: real(obj) + ("# edited" if obj is target else ""))
         assert compute() != current
 
+    def test_caches_sharing_a_file_keep_each_others_entries(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        first, second = ReferenceCache(path), ReferenceCache(path)
+        first.get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=1000, seed=9)
+        second.get_or_compute(arma11_model(), 20, "quantile", 0.5, n_sims=1000, seed=9)
+        keys = json.loads((tmp_path / "cache.json").read_text())
+        assert len(keys) == 2 and any("|x=1.0|" in key for key in keys) and any("|x=0.5|" in key for key in keys)
+
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ReferenceCache(str(tmp_path / "cache.json"))
         a = cache.get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=1000, seed=9)
