@@ -152,7 +152,7 @@ REFERENCE = dict(replications=None, ref_value=None, bootstrap_samples=None, grid
 # (subcommand, config entries over tiny_entries(), keys the run does not read)
 UNREAD = {
     "mse-grid": ("mse-grid", dict(c1_grid=[1.0], alpha=0.9, n_list=[30, 60, 90], y=0.5), ["c1_grid", "alpha", "n_list", "y"]),
-    "reference": ("reference", dict(replications=None, ref_value=None, bootstrap_samples=None, ref_replications=500, grid=TINY_GRID), ["grid"]),
+    "reference": ("reference", dict(REFERENCE, grid=TINY_GRID), ["grid"]),
     "reference y under kind quantile": ("reference", dict(REFERENCE, kind="quantile", y=0.5), ["y"]),
     "reference p under kind cdf": ("reference", dict(REFERENCE, kind="cdf", y=0.5, p=0.3), ["p"]),
     "coverage-grid": ("coverage-grid", dict(alpha=0.9, replications=2), ["x", "ref_value"]),

@@ -14,8 +14,7 @@ config holds only keys its subcommand reads, so no run warns.
 import pytest
 import yaml
 
-from blockboot import cli
-from blockboot.cli import main
+from blockboot.cli import EXPERIMENTS, main
 
 GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
 BASE = dict(model="arma11", n=40, x=1.0, grid=GRID, replications=15, bootstrap_samples=25, ref_value=0.7, seed=3)
@@ -160,4 +159,4 @@ def test_csvs_match_golden(tmp_path, capsys, case, workers):
 
 
 def test_cases_cover_every_subcommand():
-    assert {command for command, _ in CASES.values()} == set(cli.EXPERIMENTS)
+    assert {command for command, _ in CASES.values()} == set(EXPERIMENTS)
