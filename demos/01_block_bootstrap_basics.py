@@ -13,22 +13,23 @@ import numpy as np
 from blockboot import (
     BlockPlan,
     ResamplePlan,
+    arma11_model,
     bootstrap_quantile_distribution,
     draw_block_starts,
     exact_quantile_distribution,
     lower_confidence_bound,
     paste_blocks,
     sample_quantile,
-    simulate_arma11,
+    simulate,
     substream,
 )
 
-series = simulate_arma11(n=200, seed=7)
-print(f"simulated {series.n} observations; sample median = {sample_quantile(series, 0.5):+.4f}")
+series = simulate(arma11_model(), n=200, seed=7)
+print(f"simulated {series.size} observations; sample median = {sample_quantile(series, 0.5):+.4f}")
 
 # One resample by hand: draw 6 block starts of length 8 and paste them.
 plan = BlockPlan(n_blocks=6, block_length=8)
-starts = draw_block_starts(substream(123), series.n, plan)
+starts = draw_block_starts(substream(123), series.size, plan)
 pseudo = paste_blocks(series, starts, plan.block_length)
 print(f"block starts {starts.tolist()} -> pseudo-series of length {pseudo.size}")
 print(f"pseudo-series median = {sample_quantile(pseudo, 0.5):+.4f}")
@@ -42,13 +43,13 @@ for alpha in (0.05, 0.5, 0.95):
 
 # The same machinery spans subsampling (1 block) through the moving block
 # bootstrap (floor(n/ell) blocks); only the plan changes.
-for label, p2 in [("subsampling", BlockPlan.subsampling(8)), ("hybrid", plan), ("mbb", BlockPlan.mbb(series.n, 8))]:
+for label, p2 in [("subsampling", BlockPlan.subsampling(8)), ("hybrid", plan), ("mbb", BlockPlan.mbb(series.size, 8))]:
     d = bootstrap_quantile_distribution(series, ResamplePlan(p2, 5000, 123), 0.5)
     print(f"  {label:11s} (b={p2.n_blocks:3d}, ell={p2.block_length}): sd of atoms = {np.sqrt(np.cov(d.values, fweights=d.counts)):.4f}")
 
 # The exact conditional law, as integer multiplicities over the equally
 # likely start tuples (offered for up to 10**6 of them).
-tiny = simulate_arma11(n=9, seed=11)
+tiny = simulate(arma11_model(), n=9, seed=11)
 tiny_plan = BlockPlan(2, 3)
 exact = exact_quantile_distribution(tiny, tiny_plan, p=0.5)
 mc = bootstrap_quantile_distribution(tiny, ResamplePlan(tiny_plan, 100_000, 5), p=0.5)

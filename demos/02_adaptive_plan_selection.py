@@ -7,10 +7,10 @@ estimate recomputed on 20 short subsamples; the average squared discrepancy
 estimates how erratic that plan is, and the least erratic cell wins.
 """
 
-from blockboot import TuneConfig, select_plan, simulate_squared_arma23
+from blockboot import TuneConfig, select_plan, simulate, squared_arma23_model
 
 n = 512
-series = simulate_squared_arma23(n=n, seed=42)
+series = simulate(squared_arma23_model(), n=n, seed=42)
 
 cfg = TuneConfig(
     c1_grid=(0.5, 0.75, 1.0, 1.5, 2.0),

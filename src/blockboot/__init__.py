@@ -22,16 +22,12 @@ from .estimators import CiResult, cdf_deviation_prob, lower_confidence_bound, qu
 from .models import (
     MODEL_NAMES,
     ModelSpec,
-    TimeSeries,
     arma11_model,
     constant_model,
     model_from_name,
     poly_mixing_model,
     simulate,
-    simulate_arma11,
     simulate_batch,
-    simulate_poly_mixing,
-    simulate_squared_arma23,
     squared_arma23_model,
 )
 from .resample import (
@@ -67,7 +63,6 @@ __all__ = [
     "ResamplePlan",
     "ResourceLimitError",
     "SelectionResult",
-    "TimeSeries",
     "TuneConfig",
     "arma11_model",
     "block_averaged_cdf",
@@ -92,10 +87,7 @@ __all__ = [
     "sample_quantile",
     "select_plan",
     "simulate",
-    "simulate_arma11",
     "simulate_batch",
-    "simulate_poly_mixing",
-    "simulate_squared_arma23",
     "squared_arma23_model",
     "subseed",
     "subsample_starts",

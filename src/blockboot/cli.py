@@ -105,7 +105,6 @@ _GRID_KEYS = {
     "ell": ("ell", _pair),
     "ell_step": ("ell_step", _count),
     "include_mbb": ("include_mbb", _flag),
-    "cap_to_n": ("cap_to_n", _flag),
     "cells": ("cells", _items(_pair)),
 }
 
@@ -275,11 +274,12 @@ def _check_rate(cfg: harness.ExperimentConfig) -> None:
 # they run, so that a wrapper put on a ``harness`` attribute sees the call.
 def _run_reference(experiment, cfg, raw, out):
     kind = raw.get("kind") or "quantile"
+    y = cfg.y if kind == "cdf" else None  # kind 'quantile' does not read y
     cache = harness.ReferenceCache(os.path.join(out, "reference_cache.json"))
-    ref = cache.get_or_compute(cfg.model, cfg.n, kind, cfg.x, y=cfg.y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
+    ref = cache.get_or_compute(cfg.model, cfg.n, kind, cfg.x, y=y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
     path = os.path.join(out, "reference.csv")
     header = ("model", "n", "kind", "x", "y", "value", "stderr", "n_sims")
-    harness.write_csv(path, header, [(cfg.model.kind, cfg.n, kind, cfg.x, cfg.y, ref.value, ref.stderr, ref.n_sims)])
+    harness.write_csv(path, header, [(cfg.model.kind, cfg.n, kind, cfg.x, y, ref.value, ref.stderr, ref.n_sims)])
     print(f"{experiment} {ref.value:.6g} (stderr {ref.stderr:.3g}, {ref.n_sims} sims) -> {path}")
     return [path]
 

@@ -35,7 +35,7 @@ _INDEX_GUARD = 1e-13
 
 
 def as_values(series) -> np.ndarray:
-    """Coerce a series-like (array or TimeSeries) to a 1-d float array."""
+    """Coerce a series-like (array or sequence) to a 1-d float array."""
     values = np.asarray(series, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a one-dimensional series")

@@ -110,7 +110,6 @@ class GridSpec:
     ell_min: int = 2
     ell_max: int = 40
     ell_step: int = 2
-    cap_to_n: bool = True
     include_mbb: bool = True
     cells: tuple | None = None
 
@@ -125,12 +124,11 @@ class GridSpec:
             return plans
         plans = []
         lengths = range(self.ell_min, min(self.ell_max, n) + 1, self.ell_step)
-        b_span = (min(self.b_max, n // self.ell_min) if self.cap_to_n else self.b_max) - self.b_min + 1
+        b_span = min(self.b_max, n // self.ell_min) - self.b_min + 1
         if len(lengths) * b_span > _MAX_CELLS:
             raise ValueError(f"grid holds more than {_MAX_CELLS} cells")
         for ell in lengths:
-            b_top = min(self.b_max, n // ell) if self.cap_to_n else self.b_max
-            for b in range(self.b_min, b_top + 1):
+            for b in range(self.b_min, min(self.b_max, n // ell) + 1):
                 plans.append(BlockPlan(b, ell))
         if self.include_mbb:
             seen = {(p.n_blocks, p.block_length) for p in plans}
@@ -195,7 +193,7 @@ class GridRow:
 @dataclass(frozen=True)
 class GridResult:
     rows: tuple
-    meta: dict
+    n: int
 
     def min_row(self, where=None) -> GridRow:
         candidates = [r for r in self.rows if where is None or where(r)]
@@ -207,8 +205,7 @@ class GridResult:
         return self.min_row(lambda r: r.n_blocks == 1)
 
     def mbb_min(self) -> GridRow:
-        n = self.meta["n"]
-        return self.min_row(lambda r: r.n_blocks == n // r.block_length)
+        return self.min_row(lambda r: r.n_blocks == self.n // r.block_length)
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,6 @@ class AdaptiveResult:
     adaptive_mse: float
     adaptive_stderr: float
     n_reps: int
-    meta: dict
 
     def best_cell_mse(self) -> float:
         return min(r.mse for r in self.cell_rows)
@@ -375,25 +371,12 @@ def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
     return err, err**2, d2, d4, selected, d2[best], d4[best]
 
 
-_META_FIELDS = ("n", "p", "x", "y", "alpha", "n_reps", "n_boot", "master_seed")
-
-
-def _meta(cfg: ExperimentConfig, ref: RefResult | None, **extra) -> dict:
-    """Run settings recorded next to a result."""
-    meta = {name: getattr(cfg, name) for name in _META_FIELDS}
-    meta["model"] = cfg.model.kind
-    if ref is not None:
-        meta.update(ref_value=ref.value, ref_stderr=ref.stderr, ref_sims=ref.n_sims)
-    meta.update(extra)
-    return meta
-
-
-def _grid_result(cfg: ExperimentConfig, plans, metric, values, stderrs, ref: RefResult | None, **extra) -> GridResult:
+def _grid_result(cfg: ExperimentConfig, plans, metric, values, stderrs) -> GridResult:
     rows = tuple(
         GridRow(n_blocks=pl.n_blocks, block_length=pl.block_length, metric=metric, value=float(v), stderr=float(s))
         for pl, v, s in zip(plans, values, stderrs)
     )
-    return GridResult(rows=rows, meta=_meta(cfg, ref, metric=metric, **extra))
+    return GridResult(rows=rows, n=cfg.n)
 
 
 def mse_grid(cfg: ExperimentConfig) -> GridResult:
@@ -406,7 +389,7 @@ def mse_grid(cfg: ExperimentConfig) -> GridResult:
     ref = _resolve_reference(cfg, "quantile")
     plans = cfg.grid.plans(cfg.n)
     mse, stderr = _mean_stderr(*_replicate(cfg, _mse_rep, plans, ref.value), cfg.n_reps)
-    return _grid_result(cfg, plans, "mse", mse, stderr, ref)
+    return _grid_result(cfg, plans, "mse", mse, stderr)
 
 
 def cdf_mse_grid(cfg: ExperimentConfig) -> GridResult:
@@ -416,7 +399,7 @@ def cdf_mse_grid(cfg: ExperimentConfig) -> GridResult:
     ref = _resolve_reference(cfg, "cdf")
     plans = cfg.grid.plans(cfg.n)
     mse, stderr = _mean_stderr(*_replicate(cfg, _cdf_mse_rep, plans, ref.value), cfg.n_reps)
-    return _grid_result(cfg, plans, "mse", mse, stderr, ref)
+    return _grid_result(cfg, plans, "mse", mse, stderr)
 
 
 def coverage_grid(cfg: ExperimentConfig) -> GridResult:
@@ -428,7 +411,7 @@ def coverage_grid(cfg: ExperimentConfig) -> GridResult:
     (covered,) = _replicate(cfg, _coverage_rep, plans, q_true)
     # Hits are 0 or 1, so the sum of their squares is the hit count itself.
     coverage, stderr = _mean_stderr(covered, covered, cfg.n_reps)
-    return _grid_result(cfg, plans, "coverage", coverage, stderr, None, quantile_true=q_true)
+    return _grid_result(cfg, plans, "coverage", coverage, stderr)
 
 
 def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
@@ -473,13 +456,11 @@ def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
                 selected_count=int(selected[ci]),
             )
         )
-    meta = _meta(cfg, ref, subsample_len=cfg.subsample_len, subsample_count=cfg.subsample_count, rho=cfg.rho)
     return AdaptiveResult(
         cell_rows=tuple(rows),
         adaptive_mse=float(adaptive_mse),
         adaptive_stderr=float(adaptive_stderr),
         n_reps=cfg.n_reps,
-        meta=meta,
     )
 
 
@@ -555,15 +536,12 @@ def write_rate_csvs(out_dir: str, result: RateResult) -> list[str]:
 
 def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list[str]) -> None:
     """Echo the run configuration (every ``ExperimentConfig`` field) next to its outputs."""
-    config = asdict(cfg)
-    if math.isinf(cfg.model.beta_bound):
-        config["model"]["beta_bound"] = None
     payload = {
         "command": command,
         "package": f"blockboot {__version__}",
         "master_seed": cfg.master_seed,
         "workers": cfg.workers,
-        "config": config,
+        "config": asdict(cfg),
         "outputs": [os.path.basename(p) for p in outputs],
     }
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -584,7 +562,7 @@ def _code_fingerprint() -> str:
 
 
 class ReferenceCache:
-    """JSON-file cache of reference values keyed by the full simulation settings and the code fingerprint.
+    """JSON-file cache of reference values keyed by the settings the simulation reads and the code fingerprint.
 
     A change to the simulation code or to numpy changes the fingerprint, so a
     value cached by other code misses and is simulated again.  Each write
@@ -604,8 +582,10 @@ class ReferenceCache:
             return json.load(handle)
 
     def _key(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None, p: float, n_sims: int, seed: int) -> str:
+        # Only the point the kind reads: y for "cdf", the level p for "quantile".
+        point = f"y={y!r}" if kind == "cdf" else f"p={p!r}"
         params = ",".join(f"{k}={model.params[k]!r}" for k in sorted(model.params))
-        return f"{model.kind}[{params}]|n={n}|{kind}|p={p!r}|x={x!r}|y={y!r}|sims={n_sims}|seed={seed}|{self._fingerprint}"
+        return f"{model.kind}[{params}]|n={n}|{kind}|x={x!r}|{point}|sims={n_sims}|seed={seed}|{self._fingerprint}"
 
     def get_or_compute(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None = None, p: float = 0.5, n_sims: int = 1_000_000, seed: int = 0, workers: int = 1) -> RefResult:
         key = self._key(model, n, kind, x, y, p, n_sims, seed)

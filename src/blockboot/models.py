@@ -14,9 +14,11 @@ Three process families are provided, each strongly mixing:
     ``c_j = (1/(j+1))**nu``, whose mixing coefficients decay polynomially
     with exponent bounded by ``nu - 2``.
 
-ARMA recursions are started from the exact stationary joint law of the
-initial states and innovations (computed from the moving-average weights), so
-every output value has the stationary marginal distribution.
+A :class:`ModelSpec` is the process kind plus the parameters its simulation
+reads, so any causal ARMA coefficients can replace the presets'.  ARMA
+recursions are started from the exact stationary joint law of the initial
+states and innovations (computed from the moving-average weights), so every
+output value has the stationary marginal distribution.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .seeding import substream
 
 __all__ = [
     "ModelSpec",
-    "TimeSeries",
     "MODEL_NAMES",
     "arma11_model",
     "squared_arma23_model",
@@ -42,45 +43,35 @@ __all__ = [
     "model_from_name",
     "simulate",
     "simulate_batch",
-    "simulate_arma11",
-    "simulate_squared_arma23",
-    "simulate_poly_mixing",
 ]
 
 MODEL_NAMES = ("arma11", "arma23sq", "polymix")
 
-_ARMA11_AR = (0.4,)
-_ARMA11_MA = (0.3,)
-_ARMA23_AR = (0.1, -0.3)
-_ARMA23_MA = (0.1, 0.2, -0.1)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Description of a stationary test process.
+    """A stationary test process: its kind and the parameters its simulation reads.
 
     Attributes
     ----------
     kind : str
         One of ``"arma11"``, ``"arma23sq"``, ``"polymix"``, ``"constant"``.
     params : dict
-        Named real parameters (AR/MA coefficients, or ``nu`` and ``n_terms``).
-    marginal_sd : float
-        Standard deviation of the stationary marginal.  For ``arma23sq`` this
-        is the standard deviation of the latent Gaussian series.
-    mixing : str
-        ``"exponential"`` or ``"polynomial"`` decay of the mixing
-        coefficients.
-    beta_bound : float
-        Upper bound on the polynomial mixing exponent (``inf`` for
-        exponential mixing).
+        ``ar`` and ``ma`` coefficient tuples for the ARMA kinds, ``nu`` and
+        ``n_terms`` for ``polymix``, ``value`` for ``constant``.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    marginal_sd: float = 1.0
-    mixing: str = "exponential"
-    beta_bound: float = math.inf
+
+    @property
+    def marginal_sd(self) -> float:
+        """Standard deviation of the stationary marginal; for ``arma23sq``, of the latent Gaussian series."""
+        if self.kind in ("arma11", "arma23sq"):
+            return math.sqrt(_arma_autocov(tuple(self.params["ar"]), tuple(self.params["ma"]), 0)[0])
+        if self.kind == "polymix":
+            return math.sqrt(float(np.sum(_poly_coeffs(self.params["nu"], self.params["n_terms"]) ** 2)))
+        return 0.0
 
     def marginal_cdf(self, x):
         """Stationary marginal distribution function, evaluated at ``x``."""
@@ -106,37 +97,6 @@ class ModelSpec:
         if self.kind == "constant":
             return float(self.params["value"])
         raise ValueError(f"no closed-form marginal quantile for model kind {self.kind!r}")
-
-    @property
-    def median(self) -> float:
-        return self.marginal_quantile(0.5)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """An observed sample path with its generation metadata."""
-
-    values: np.ndarray
-    model: ModelSpec | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("a time series must hold at least one observation")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.values
-        return self.values.astype(dtype)
 
 
 def _psi_weights(ar: tuple, ma: tuple, count: int) -> np.ndarray:
@@ -215,24 +175,12 @@ def _poly_mixing_batch(nu, n_terms, n, count, rng):
 
 def arma11_model() -> ModelSpec:
     """Preset Gaussian ARMA(1,1) with ``phi=0.4``, ``theta=0.3``."""
-    var = _arma_autocov(_ARMA11_AR, _ARMA11_MA, 0)[0]
-    return ModelSpec(
-        kind="arma11",
-        params={"phi": 0.4, "theta": 0.3},
-        marginal_sd=math.sqrt(var),
-        mixing="exponential",
-    )
+    return ModelSpec(kind="arma11", params={"ar": (0.4,), "ma": (0.3,)})
 
 
 def squared_arma23_model() -> ModelSpec:
     """Preset squared Gaussian ARMA(2,3); ``marginal_sd`` refers to the latent series."""
-    var = _arma_autocov(_ARMA23_AR, _ARMA23_MA, 0)[0]
-    return ModelSpec(
-        kind="arma23sq",
-        params={"ar": _ARMA23_AR, "ma": _ARMA23_MA},
-        marginal_sd=math.sqrt(var),
-        mixing="exponential",
-    )
+    return ModelSpec(kind="arma23sq", params={"ar": (0.1, -0.3), "ma": (0.1, 0.2, -0.1)})
 
 
 def poly_mixing_model(nu: float = 10.0, n_terms: int = 100) -> ModelSpec:
@@ -250,19 +198,12 @@ def poly_mixing_model(nu: float = 10.0, n_terms: int = 100) -> ModelSpec:
         raise ValueError("nu must exceed 2 (mixing bound degenerate)")
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
-    var = float(np.sum(_poly_coeffs(nu, n_terms) ** 2))
-    return ModelSpec(
-        kind="polymix",
-        params={"nu": float(nu), "n_terms": int(n_terms)},
-        marginal_sd=math.sqrt(var),
-        mixing="polynomial",
-        beta_bound=float(nu) - 2.0,
-    )
+    return ModelSpec(kind="polymix", params={"nu": float(nu), "n_terms": int(n_terms)})
 
 
 def constant_model(value: float = 0.0) -> ModelSpec:
     """Degenerate model emitting a constant series; useful in tests."""
-    return ModelSpec(kind="constant", params={"value": float(value)}, marginal_sd=0.0)
+    return ModelSpec(kind="constant", params={"value": float(value)})
 
 
 def model_from_name(name: str, nu: float | None = None, n_terms: int | None = None) -> ModelSpec:
@@ -291,11 +232,9 @@ def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generato
         raise ValueError("series length n must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if model.kind == "arma11":
-        return _arma_batch(_ARMA11_AR, _ARMA11_MA, n, count, rng)
-    if model.kind == "arma23sq":
-        latent = _arma_batch(_ARMA23_AR, _ARMA23_MA, n, count, rng)
-        return latent**2
+    if model.kind in ("arma11", "arma23sq"):
+        x = _arma_batch(model.params["ar"], model.params["ma"], n, count, rng)
+        return x**2 if model.kind == "arma23sq" else x
     if model.kind == "polymix":
         return _poly_mixing_batch(model.params["nu"], model.params["n_terms"], n, count, rng)
     if model.kind == "constant":
@@ -303,22 +242,6 @@ def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generato
     raise ValueError(f"cannot simulate model kind {model.kind!r}")
 
 
-def simulate(model: ModelSpec, n: int, seed: int) -> TimeSeries:
-    """Simulate a single sample path from ``model`` under the given seed."""
-    values = simulate_batch(model, n, 1, substream(seed))[0]
-    return TimeSeries(values=values, model=model, seed=int(seed))
-
-
-def simulate_arma11(n: int, seed: int) -> TimeSeries:
-    """Series from the ARMA(1,1) preset."""
-    return simulate(arma11_model(), n, seed)
-
-
-def simulate_squared_arma23(n: int, seed: int) -> TimeSeries:
-    """Series from the squared ARMA(2,3) preset; all values are nonnegative."""
-    return simulate(squared_arma23_model(), n, seed)
-
-
-def simulate_poly_mixing(n: int, seed: int, nu: float = 10.0, n_terms: int = 100) -> TimeSeries:
-    """Series from the polynomial-mixing moving-average preset."""
-    return simulate(poly_mixing_model(nu=nu, n_terms=n_terms), n, seed)
+def simulate(model: ModelSpec, n: int, seed: int) -> np.ndarray:
+    """Simulate a single length-``n`` sample path from ``model`` under the given seed."""
+    return simulate_batch(model, n, 1, substream(seed))[0]

@@ -327,6 +327,17 @@ class TestSubcommands:
         assert fields[0] == "arma11" and fields[7] == "2000"
         assert 0.0 <= float(fields[5]) <= 1.0
 
+    @pytest.mark.parametrize("kind, entries, unread", [("quantile", {}, {"y": 0.5}), ("cdf", {"y": 0.9}, {"p": 0.3})])
+    def test_reference_unread_key_shares_the_cache_entry(self, tmp_path, kind, entries, unread):
+        out = tmp_path / "out"
+        csvs = []
+        for i, extra in enumerate(({}, unread)):
+            cfg = write_config(tmp_path / f"c{i}.yaml", model="arma11", n=30, x=1.0, kind=kind, ref_replications=2000, seed=5, **entries, **extra)
+            assert main(["reference", "--config", cfg, "--out", str(out)]) == 0
+            csvs.append((out / "reference.csv").read_text())
+        assert len(json.loads((out / "reference_cache.json").read_text())) == 1
+        assert csvs[0] == csvs[1]
+
     def test_coverage_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries(alpha=0.9, replications=10, bootstrap_samples=60))
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from blockboot.empirical import (
     order_stat_index,
     sample_quantile,
 )
-from blockboot.models import simulate_arma11
 from blockboot.seeding import substream
 
 
@@ -62,10 +61,6 @@ class TestEmpiricalCdf:
         xs = np.concatenate([rng.standard_normal(150), values[:50]])
         expected = [naive_cdf(values, x) for x in xs]
         assert np.array_equal(empirical_cdf(values, xs), expected)
-
-    def test_accepts_time_series(self):
-        ts = simulate_arma11(20, seed=5)
-        assert empirical_cdf(ts, 0.0) == naive_cdf(ts.values, 0.0)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

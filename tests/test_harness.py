@@ -125,7 +125,11 @@ class TestMseGrid:
         for row in result.rows:
             assert 0.0 <= row.value <= 1.0
             assert row.stderr >= 0.0
-        assert result.meta["ref_value"] == 0.7
+        # The squared error is quadratic in the reference r with unit leading
+        # coefficient, so mse(r) = (1 - r) mse(0) + r mse(1) - r (1 - r).
+        at_zero, at_one = (mse_grid(tiny_config(ref_value=r)) for r in (0.0, 1.0))
+        for row, zero, one in zip(result.rows, at_zero.rows, at_one.rows):
+            assert row.value == pytest.approx(0.3 * zero.value + 0.7 * one.value - 0.21, rel=1e-12, abs=1e-15)
 
     def test_worker_independence(self):
         a = mse_grid(tiny_config(workers=1))

@@ -5,15 +5,13 @@ import pytest
 
 from blockboot import models
 from blockboot.models import (
+    ModelSpec,
     arma11_model,
     constant_model,
     model_from_name,
     poly_mixing_model,
     simulate,
-    simulate_arma11,
     simulate_batch,
-    simulate_poly_mixing,
-    simulate_squared_arma23,
     squared_arma23_model,
 )
 from blockboot.seeding import substream
@@ -31,22 +29,19 @@ def pooled_lag1_corr(batch):
 class TestPresets:
     def test_arma11_parameters(self):
         m = arma11_model()
-        assert m.params == {"phi": 0.4, "theta": 0.3}
-        assert m.mixing == "exponential"
-        assert math.isinf(m.beta_bound)
+        assert m.params == {"ar": (0.4,), "ma": (0.3,)}
         assert m.marginal_sd**2 == pytest.approx(ARMA11_VAR, abs=1e-3)
-        assert m.median == 0.0
+        assert m.marginal_quantile(0.5) == 0.0
 
     def test_arma23_latent_variance(self):
         m = squared_arma23_model()
         assert m.marginal_sd**2 == pytest.approx(ARMA23_VAR, abs=1e-3)
-        assert m.median == pytest.approx((0.675 * math.sqrt(ARMA23_VAR)) ** 2, abs=1e-3)
+        assert m.params == {"ar": (0.1, -0.3), "ma": (0.1, 0.2, -0.1)}
+        assert m.marginal_quantile(0.5) == pytest.approx((0.675 * math.sqrt(ARMA23_VAR)) ** 2, abs=1e-3)
 
     def test_polymix_coefficients(self):
         m = poly_mixing_model()
         assert m.params == {"nu": 10.0, "n_terms": 100}
-        assert m.mixing == "polynomial"
-        assert m.beta_bound == 8.0
         expected_var = sum((1.0 / (j + 1)) ** 20 for j in range(100))
         assert m.marginal_sd**2 == pytest.approx(expected_var, rel=1e-12)
 
@@ -85,20 +80,18 @@ class TestDeterminism:
         m = model_from_name(name)
         a = simulate(m, 100, seed=7)
         b = simulate(m, 100, seed=7)
-        assert np.array_equal(a.values, b.values)
-        assert np.any(simulate(m, 100, seed=8).values != a.values)
+        assert np.array_equal(a, b)
+        assert np.any(simulate(m, 100, seed=8) != a)
 
-    def test_series_metadata(self):
-        ts = simulate_arma11(50, seed=3)
-        assert ts.n == len(ts) == 50
-        assert ts.model.kind == "arma11"
-        assert ts.seed == 3
-        assert np.asarray(ts).shape == (50,)
+    def test_simulate_is_one_batch_row(self):
+        series = simulate(arma11_model(), 50, seed=3)
+        assert series.shape == (50,)
+        assert np.array_equal(series, simulate_batch(arma11_model(), 50, 1, substream(3))[0])
 
     def test_invalid_length(self):
-        for gen in (simulate_arma11, simulate_squared_arma23, simulate_poly_mixing):
+        for name in ("arma11", "arma23sq", "polymix"):
             with pytest.raises(ValueError):
-                gen(0, seed=1)
+                simulate(model_from_name(name), 0, seed=1)
 
 
 class TestArma11:
@@ -117,9 +110,19 @@ class TestArma11:
         assert oracle == pytest.approx(closed_form, abs=0.01)
 
 
+class TestSpecIsTheProcess:
+    def test_arma_coefficients_are_the_simulated_ones(self):
+        m = ModelSpec("arma11", {"ar": (0.9,), "ma": (0.0,)})
+        assert m.marginal_sd**2 == pytest.approx(1.0 / (1.0 - 0.81), rel=1e-12)
+        batch = simulate_batch(m, 2000, 50, substream(15))
+        assert pooled_lag1_corr(batch) == pytest.approx(0.9, abs=0.01)
+        assert batch.var() == pytest.approx(1.0 / (1.0 - 0.81), rel=0.05)
+
+
 class TestSquaredArma23:
     def test_latent_first_value_variance(self):
-        latent = models._arma_batch(models._ARMA23_AR, models._ARMA23_MA, 1, 10**5, substream(21))
+        m = squared_arma23_model()
+        latent = models._arma_batch(m.params["ar"], m.params["ma"], 1, 10**5, substream(21))
         assert latent[:, 0].var() == pytest.approx(ARMA23_VAR, abs=0.03)
 
     def test_population_median(self):
@@ -128,8 +131,7 @@ class TestSquaredArma23:
         assert np.median(batch) == pytest.approx(target, abs=0.01)
 
     def test_values_nonnegative(self):
-        ts = simulate_squared_arma23(500, seed=23)
-        assert np.all(ts.values >= 0.0)
+        assert np.all(simulate(squared_arma23_model(), 500, seed=23) >= 0.0)
 
 
 class TestPolyMixing:
@@ -173,6 +175,6 @@ class TestConstantModel:
         m = constant_model(2.5)
         batch = simulate_batch(m, 10, 3, substream(51))
         assert np.all(batch == 2.5)
-        assert m.median == 2.5
+        assert m.marginal_quantile(0.5) == 2.5
         assert m.marginal_cdf(2.5) == 1.0
         assert m.marginal_cdf(2.49) == 0.0
