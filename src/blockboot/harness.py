@@ -249,10 +249,17 @@ def _run_chunked(worker, payload, n_items: int, workers: int, chunk: int):
     combined in order are bit-identical for every worker count.
     """
     tasks = [(payload, lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+    return _starmap(worker, tasks, workers)
+
+
+def _starmap(worker, tasks, workers: int):
+    """``[worker(*task) for task in tasks]``, in order, on up to ``workers`` spawned processes.
+
+    ``spawn`` exists on every platform; ``worker`` and the tasks must pickle.
+    """
     if workers <= 1 or len(tasks) == 1:
         return [worker(*task) for task in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
+    with multiprocessing.get_context("spawn").Pool(processes=min(workers, len(tasks))) as pool:
         return pool.starmap(worker, tasks)
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import ndtr, ndtri
 
 from .seeding import substream
@@ -146,21 +145,23 @@ def _arma_batch(ar, ma, n, count, rng):
     chol = _stationary_start_chol(tuple(ar), tuple(ma))
     state = rng.standard_normal((count, p + q)) @ chol.T
 
-    # Buffer layout: x columns hold (X_{1-p}, ..., X_0, X_1, ..., X_n) and
-    # e columns hold (e_{1-q}, ..., e_0, e_1, ..., e_n).
-    x = np.empty((count, p + n))
-    e = np.empty((count, q + n))
-    x[:, :p] = state[:, :p][:, ::-1]
-    e[:, :q] = state[:, p:][:, ::-1]
-    e[:, q:] = rng.standard_normal((count, n))
+    # Time-major buffers, one column per series: the rows of x hold
+    # X_{1-p}, ..., X_0, X_1, ..., X_n and the rows of e hold
+    # e_{1-q}, ..., e_0, e_1, ..., e_n, so each step reads and writes
+    # contiguous rows.  The result is a transposed view, not a copy.
+    x = np.empty((p + n, count))
+    e = np.empty((q + n, count))
+    x[:p] = state[:, :p][:, ::-1].T
+    e[:q] = state[:, p:][:, ::-1].T
+    e[q:] = rng.standard_normal((count, n)).T
     for t in range(n):
-        acc = e[:, q + t].copy()
+        acc = e[q + t].copy()
         for j, theta in enumerate(ma, start=1):
-            acc += theta * e[:, q + t - j]
+            acc += theta * e[q + t - j]
         for i, phi in enumerate(ar, start=1):
-            acc += phi * x[:, p + t - i]
-        x[:, p + t] = acc
-    return x[:, p:]
+            acc += phi * x[p + t - i]
+        x[p + t] = acc
+    return x[p:].T
 
 
 def _poly_coeffs(nu: float, n_terms: int) -> np.ndarray:
@@ -168,6 +169,9 @@ def _poly_coeffs(nu: float, n_terms: int) -> np.ndarray:
 
 
 def _poly_mixing_batch(nu, n_terms, n, count, rng):
+    # Imported here: scipy.signal is slow to import and only this model uses it.
+    from scipy.signal import fftconvolve
+
     coeffs = _poly_coeffs(nu, n_terms)
     z = rng.standard_normal((count, n + n_terms - 1))
     return fftconvolve(z, coeffs[None, :], mode="valid", axes=1)

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from blockboot.models import (
 )
 from blockboot.seeding import substream
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ARMA11_VAR = 1.5833
 ARMA23_VAR = 1.0776
 
@@ -94,6 +99,49 @@ class TestDeterminism:
                 simulate(model_from_name(name), 0, seed=1)
 
 
+def reference_arma(ar, ma, n, count, seed):
+    """The ARMA recursion per series in Python floats, fed the draws ``simulate_batch`` makes from ``substream(seed)``.
+
+    Per step: ``acc = e_t``, then ``acc += theta_j * e_{t-j}`` for j = 1..q,
+    then ``acc += phi_i * x_{t-i}`` for i = 1..p.
+    """
+    p, q = len(ar), len(ma)
+    rng = substream(seed)
+    state = rng.standard_normal((count, p + q)) @ models._stationary_start_chol(tuple(ar), tuple(ma)).T
+    innovations = rng.standard_normal((count, n))
+    rows = []
+    for k in range(count):
+        # x[i] is X_{i+1-p}, e[j] is e_{j+1-q}; the state lists X_0, X_{-1}, ... and e_0, e_{-1}, ...
+        x = [float(v) for v in state[k, :p][::-1]]
+        e = [float(v) for v in state[k, p:][::-1]] + [float(v) for v in innovations[k]]
+        for t in range(n):
+            acc = e[q + t]
+            for j in range(1, q + 1):
+                acc += ma[j - 1] * e[q + t - j]
+            for i in range(1, p + 1):
+                acc += ar[i - 1] * x[p + t - i]
+            x.append(acc)
+        rows.append(x[p:])
+    return rows
+
+
+class TestBitExactOracle:
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize(
+        "model",
+        [arma11_model(), squared_arma23_model(), ModelSpec("arma11", {"ar": (0.5, -0.2), "ma": (0.3,)})],
+        ids=["arma11", "arma23sq", "custom-ar2"],
+    )
+    def test_batch_equals_scalar_recursion(self, model, count):
+        n, seed = 40, 61
+        rows = reference_arma(model.params["ar"], model.params["ma"], n, count, seed)
+        if model.kind == "arma23sq":
+            rows = [[v * v for v in row] for row in rows]
+        batch = simulate_batch(model, n, count, substream(seed))
+        assert batch.shape == (count, n)
+        assert batch.tolist() == rows
+
+
 class TestArma11:
     def test_first_value_has_marginal_variance(self):
         batch = simulate_batch(arma11_model(), 1, 10**5, substream(11))
@@ -148,6 +196,19 @@ class TestPolyMixing:
     def test_population_median_zero(self):
         batch = simulate_batch(poly_mixing_model(), 1, 10**5, substream(33))
         assert (batch[:, 0] <= 0.0).mean() == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(10**5))
+
+    def test_scipy_signal_loads_only_for_polymix(self):
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys, blockboot.cli\n"
+            "from blockboot.models import poly_mixing_model, simulate\n"
+            "before = 'scipy.signal' in sys.modules\n"
+            "simulate(poly_mixing_model(), 10, seed=1)\n"
+            "print(before, 'scipy.signal' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestStationarity:
