@@ -1,4 +1,4 @@
-"""Bootstrap distribution estimates and percentile confidence bounds.
+"""Bootstrap distribution estimates and percentile confidence bounds over a grid of plans.
 
 A resampled quantile falls below a threshold exactly when the pasted series
 holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
@@ -7,6 +7,10 @@ and the percentile bound read the law of a sum of block counts from
 seeded by ``rp.seed``, agreeing bit for bit with the pasting definitions in
 :mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.  The
 bound finds ``G^{-1}(alpha)`` by bisection over that law; nothing is pasted.
+
+Each estimate takes a sequence of plans and returns one value per plan, in
+order: the center and the window counts are computed once per block length,
+each plan draws from its own seed, and the singular functions are one-plan calls.
 """
 
 from __future__ import annotations
@@ -17,14 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law
+from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law, window_counts
 from .seeding import substream
 
 __all__ = [
     "CiResult",
     "lower_confidence_bound",
+    "lower_confidence_bounds",
     "quantile_deviation_prob",
+    "quantile_deviation_probs",
     "cdf_deviation_prob",
+    "cdf_deviation_probs",
 ]
 
 
@@ -51,70 +58,89 @@ def _starts(n: int, rp: ResamplePlan):
         return np.ascontiguousarray(substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks)).T)
 
 
-def _bootstrap_quantile_by_bisection(values, plan: BlockPlan, p: float, alpha: float, starts) -> float:
-    """``G^{-1}(alpha)`` of the law :func:`~blockboot.resample.count_sum_law` gives on ``starts`` (exact when ``None``).
+def _by_block_length(n: int, rps) -> dict:
+    """``{ell: [(index, rp), ...]}`` over ``rps`` in order, every plan checked against ``n``."""
+    groups: dict = {}
+    for i, rp in enumerate(rps):
+        groups.setdefault(_check_plan(n, rp.plan)[1], []).append((i, rp))
+    return groups
 
-    ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)`` at the smallest observation
-    ``v`` with ``P*(quantile <= v) >= alpha``, found by bisection; the largest
-    observation always qualifies and is not searched.
+
+def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
+    """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``rps``.
+
+    Entry ``i`` agrees with ``bootstrap_quantile_distribution(series, rps[i], p).cdf(x)`` for the same seed.
     """
-    b, ell = _check_plan(values.size, plan)
-    center = block_averaged_quantile(values, ell, p)
-    k = order_stat_index(b * ell, p)
-    ordered = np.sort(values)
-
-    def reaches_alpha(i):
-        # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
-        weights, total = count_sum_law(values <= ordered[i], plan, starts)
-        return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
-
-    v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
-    return np.sqrt(b * ell) * (v - center)
+    values = as_values(series)
+    out = np.empty(len(rps))
+    for ell, cells in _by_block_length(values.size, rps).items():
+        center = block_averaged_quantile(values, ell, p)
+        scales = np.sqrt([rp.plan.n_blocks * ell for _, rp in cells])
+        rows = window_counts(values <= (center + x / scales)[:, None], ell)
+        for (i, rp), row in zip(cells, rows):
+            weights, total = count_sum_law(row, rp.plan, _starts(values.size, rp))
+            out[i] = weights[order_stat_index(rp.plan.total_length, p) :].sum() / total
+    return out
 
 
-def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> CiResult:
-    """Lower percentile confidence bound for the p-quantile.
+def cdf_deviation_probs(series, rps, x: float, y: float) -> np.ndarray:
+    """Bootstrap probabilities that the scaled resampled-CDF deviation at ``x`` is ``<= y``, one per plan of ``rps``.
 
-    The interval is ``[q_hat - G^{-1}(alpha) / sqrt(n), infinity)`` where
-    ``q_hat`` is the sample quantile and ``G`` the bootstrap distribution of
-    the scaled quantile statistic, searched by bisection: the Monte Carlo law (bit for bit
-    ``bootstrap_quantile_distribution(series, rp, p).quantile(alpha)``) or, when
-    ``rp.n_boot`` is ``None``, the exact law.
+    That is ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``; with an integer ``n_boot``, entry ``i`` agrees with
+    sequential :func:`~blockboot.resample.cdf_statistic` calls on a generator seeded by ``rps[i].seed``.
+    """
+    values = as_values(series)
+    below = values <= x
+    out = np.empty(len(rps))
+    for ell, cells in _by_block_length(values.size, rps).items():
+        center = block_averaged_cdf(values, ell, x)
+        row = window_counts(below, ell)
+        for i, rp in cells:
+            m = rp.plan.total_length
+            weights, total = count_sum_law(row, rp.plan, _starts(values.size, rp))
+            out[i] = weights[np.arange(weights.size) <= center * m + y * np.sqrt(m)].sum() / total
+    return out
+
+
+def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
+    """Lower percentile confidence bounds for the p-quantile, one per plan of ``rps``.
+
+    Each is ``q_hat - G^{-1}(alpha) / sqrt(n)``, ``q_hat`` the sample quantile and ``G`` the bootstrap law of the scaled
+    quantile statistic: Monte Carlo (bit for bit ``bootstrap_quantile_distribution(series, rp, p).quantile(alpha)``) or exact.
+    ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)`` at the smallest observation ``v`` with
+    ``P*(quantile <= v) >= alpha``, found by bisection; the largest observation always qualifies and is not searched.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values = as_values(series)
-    g_inv = _bootstrap_quantile_by_bisection(values, rp.plan, p, alpha, _starts(values.size, rp))
-    lower = sample_quantile(values, p) - g_inv / np.sqrt(values.size)
-    return CiResult(lower=float(lower), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
+    ordered = np.sort(values)
+    q_hat = sample_quantile(values, p)
+    out = np.empty(len(rps))
+    for ell, cells in _by_block_length(values.size, rps).items():
+        center = block_averaged_quantile(values, ell, p)
+        for i, rp in cells:
+            k, starts = order_stat_index(rp.plan.total_length, p), _starts(values.size, rp)
+
+            def reaches_alpha(j):
+                # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
+                weights, total = count_sum_law(window_counts(values <= ordered[j], ell), rp.plan, starts)
+                return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
+
+            v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
+            out[i] = q_hat - np.sqrt(rp.plan.total_length) * (v - center) / np.sqrt(values.size)
+    return out
+
+
+def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> CiResult:
+    """Lower percentile confidence bound for the p-quantile: :func:`lower_confidence_bounds` for one plan."""
+    return CiResult(lower=float(lower_confidence_bounds(series, (rp,), p, alpha)[0]), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
 
 
 def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> float:
-    """Bootstrap probability that the scaled quantile deviation is ``<= x``.
-
-    Agrees with ``bootstrap_quantile_distribution(series, rp, p).cdf(x)`` for
-    the same seed, but runs in O(n + n_boot * n_blocks) per call.
-    """
-    values = as_values(series)
-    b, ell = _check_plan(values.size, rp.plan)
-    center = block_averaged_quantile(values, ell, p)
-    k = order_stat_index(b * ell, p)
-    threshold = center + x / np.sqrt(b * ell)
-    weights, total = count_sum_law(values <= threshold, rp.plan, _starts(values.size, rp))
-    return float(weights[k:].sum() / total)
+    """Bootstrap probability that the scaled quantile deviation is ``<= x``: :func:`quantile_deviation_probs` for one plan."""
+    return float(quantile_deviation_probs(series, (rp,), p, x)[0])
 
 
 def cdf_deviation_prob(series, rp: ResamplePlan, x: float, y: float) -> float:
-    """Bootstrap probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``.
-
-    Estimates the conditional probability of
-    ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``; with an integer ``rp.n_boot``
-    it agrees with sequential :func:`~blockboot.resample.cdf_statistic`
-    calls on a generator seeded by ``rp.seed``.
-    """
-    values = as_values(series)
-    b, ell = _check_plan(values.size, rp.plan)
-    center = block_averaged_cdf(values, ell, x)
-    bound = center * (b * ell) + y * np.sqrt(b * ell)
-    weights, total = count_sum_law(values <= x, rp.plan, _starts(values.size, rp))
-    return float(weights[np.arange(weights.size) <= bound].sum() / total)
+    """Bootstrap probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``: :func:`cdf_deviation_probs` for one plan."""
+    return float(cdf_deviation_probs(series, (rp,), x, y)[0])

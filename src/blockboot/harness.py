@@ -1,9 +1,9 @@
 """Monte Carlo experiment engine: reference values, error grids, rate and tuning studies.
 
 Every experiment follows the same protocol: simulate ``n_reps`` independent
-series, evaluate a bootstrap estimator on each over a grid of block plans,
-and aggregate per-cell metrics against a reference value obtained from a
-separate massive simulation.  Seeding is hierarchical; the substream of each
+series, evaluate a bootstrap estimator on each over a grid of block plans in
+one :mod:`~blockboot.estimators` call, and aggregate per-cell metrics against
+a reference value obtained from a separate massive simulation.  Seeding is hierarchical; the substream of each
 (cell, replication) pair is derived from the master seed alone, so results
 are bit-identical for any worker count and any scheduling order.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, empirical, models, seeding
 from .empirical import order_stat_index
-from .estimators import cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
+from .estimators import cdf_deviation_probs, lower_confidence_bounds, quantile_deviation_probs
 from .models import ModelSpec, simulate_batch
 from .resample import BlockPlan, ResamplePlan
 from .seeding import subseed, substream
@@ -349,24 +349,21 @@ def _squared_errors(estimates, g_ref):
 
 
 def _resample_plans(cfg, plans, rep):
-    """Per-cell resample plans of replication ``rep``; exact laws (``n_boot=None``) when ``cfg.exact``."""
-    return [ResamplePlan(plan, None if cfg.exact else cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
+    """Per-cell resample plans of replication ``rep``; exact laws (``n_boot=None``), which read no seed, when ``cfg.exact``."""
+    return [ResamplePlan(plan, None, 0) if cfg.exact else ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
 
 
 def _mse_rep(cfg, series, rep, plans, g_ref):
-    estimates = [quantile_deviation_prob(series, rp, cfg.p, cfg.x) for rp in _resample_plans(cfg, plans, rep)]
-    return _squared_errors(estimates, g_ref)
+    return _squared_errors(quantile_deviation_probs(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.x), g_ref)
 
 
 def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
-    estimates = [cdf_deviation_prob(series, rp, cfg.x, cfg.y) for rp in _resample_plans(cfg, plans, rep)]
-    return _squared_errors(estimates, g_ref)
+    return _squared_errors(cdf_deviation_probs(series, _resample_plans(cfg, plans, rep), cfg.x, cfg.y), g_ref)
 
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
-    lowers = [lower_confidence_bound(series, rp, cfg.p, cfg.alpha).lower for rp in _resample_plans(cfg, plans, rep)]
     # int64 counts: adding bool arrays would be a logical or.
-    return ((q_true >= np.asarray(lowers)).astype(np.int64),)
+    return ((q_true >= lower_confidence_bounds(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.alpha)).astype(np.int64),)
 
 
 def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
@@ -556,22 +553,24 @@ def write_manifest(path: str, command: str, cfg: ExperimentConfig, outputs: list
 
 @functools.cache
 def _code_fingerprint() -> str:
-    """The numpy version and a short hash of the code a reference value runs.
+    """The numpy and scipy versions and a short hash of the code a reference value runs.
 
     That is the ``models``, ``seeding`` and ``empirical`` sources, the
     reference functions of this module and their chunk size and seed tag,
-    hashed once per process.
+    hashed once per process.  scipy is imported only here, when a cache is built.
     """
+    import scipy
+
     parts = [inspect.getsource(obj) for obj in (models, seeding, empirical, reference_seed, _run_chunked, _reference_chunk, reference_value)]
     parts += [repr((_REF_CHUNK, _TAG_REFERENCE))]
     digest = hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()[:12]
-    return f"numpy={np.__version__}|code={digest}"
+    return f"numpy={np.__version__}|scipy={scipy.__version__}|code={digest}"
 
 
 class ReferenceCache:
     """JSON-file cache of reference values keyed by the settings the simulation reads and the code fingerprint.
 
-    A change to the simulation code or to numpy changes the fingerprint, so a
+    A change to the simulation code, to numpy or to scipy changes the fingerprint, so a
     value cached by other code misses and is simulated again.  Each write
     first merges in the entries on disk, so caches sharing a file keep each
     other's values unless two of them write at the same moment.

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .seeding import substream
 
@@ -74,6 +73,8 @@ class ModelSpec:
 
     def marginal_cdf(self, x):
         """Stationary marginal distribution function, evaluated at ``x``."""
+        from scipy.special import ndtr  # imported here: scipy.special is slow to import, and only the marginal CDF and quantile use it
+
         x = np.asarray(x, dtype=float)
         if self.kind in ("arma11", "polymix"):
             out = ndtr(x / self.marginal_sd)
@@ -87,6 +88,8 @@ class ModelSpec:
 
     def marginal_quantile(self, p: float) -> float:
         """Stationary marginal quantile function at probability ``p``."""
+        from scipy.special import ndtri  # imported here, as in marginal_cdf
+
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         if self.kind in ("arma11", "polymix"):

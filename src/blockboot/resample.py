@@ -33,6 +33,7 @@ __all__ = [
     "paste_blocks",
     "quantile_statistic",
     "cdf_statistic",
+    "window_counts",
     "count_sum_law",
     "bootstrap_quantile_distribution",
     "exact_quantile_distribution",
@@ -194,15 +195,20 @@ def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, c
     return float(np.sqrt(b * ell) * (fstar - center))
 
 
-def count_sum_law(indicator, plan: BlockPlan, starts) -> tuple[np.ndarray, int]:
-    """Weights over ``0..b*ell`` of the number of ones of ``indicator`` pasted in ``plan``'s blocks, and their total.
+def window_counts(indicator, ell: int) -> np.ndarray:
+    """Number of ones of ``indicator`` in each length-``ell`` window along its last axis (int64)."""
+    cum = np.cumsum(indicator, axis=-1, dtype=np.int64)
+    cum = np.concatenate((np.zeros(cum.shape[:-1] + (1,), dtype=np.int64), cum), axis=-1)
+    return cum[..., ell:] - cum[..., :-ell]
+
+
+def count_sum_law(counts, plan: BlockPlan, starts) -> tuple[np.ndarray, int]:
+    """Weights over ``0..b*ell`` of the sum of the :func:`window_counts` row ``counts`` at ``plan``'s ``b`` block starts, and their total.
 
     Monte Carlo: integer tallies over the columns (one replicate's block starts each) of the ``(b, n_boot)`` matrix ``starts``, total ``n_boot``.
     Exact (``starts=None``): the ``b``-fold convolution of the window-count pmf by binary powering, total 1.
     """
-    b, ell = _check_plan(len(indicator), plan)
-    cum = np.concatenate(([0], np.cumsum(indicator, dtype=np.int64)))
-    counts = cum[ell:] - cum[:-ell]
+    b, ell = plan.n_blocks, plan.block_length
     if starts is not None:
         return np.bincount(counts[starts].sum(axis=0), minlength=b * ell + 1), starts.shape[1]
     law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
@@ -255,7 +261,7 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float, max_tuples: i
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     atoms = np.unique(values)
-    below = np.array([count_sum_law(values <= v, plan, None)[0][k:].sum() for v in atoms])
+    below = np.array([count_sum_law(row, plan, None)[0][k:].sum() for row in window_counts(values <= atoms[:, None], ell)])
     counts = np.diff(np.rint(below * total).astype(np.int64), prepend=0)
     keep = counts > 0
     return EmpiricalDistribution(values=np.sqrt(b * ell) * (atoms[keep] - center), counts=counts[keep], total=total)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import as_values, guarded_floor
-from .estimators import quantile_deviation_prob
+from .estimators import quantile_deviation_probs
 from .resample import BlockPlan, ResamplePlan
 from .seeding import float_key, subseed
 
@@ -153,33 +153,36 @@ def tuning_subseed(seed: int, c1: float, c2: float, start: int, length: int) -> 
     return subseed(seed, _TUNE_TAG, float_key(c1), float_key(c2), start, length)
 
 
-def _cell_diagnostics(values: np.ndarray, cfg: TuneConfig, c1: float, c2: float) -> CellDiagnostics:
-    n = values.size
-    m = default_subsample_len(n) if cfg.subsample_len is None else int(cfg.subsample_len)
-    try:
-        plan_full = plan_from_constants(n, c1, c2)
-        plan_sub = plan_from_constants(m, c1, c2)
-    except ValueError:
-        return CellDiagnostics(c1=c1, c2=c2, plan=None, err=math.nan, full_sample_prob=math.nan)
-    rp_full = ResamplePlan(plan_full, cfg.n_boot, tuning_subseed(cfg.seed, c1, c2, 0, n))
-    g_full = quantile_deviation_prob(values, rp_full, cfg.p, cfg.x)
-    deviations = []
-    for start in subsample_starts(n, m, cfg.subsample_count):
-        window = values[start : start + m]
-        rp_sub = ResamplePlan(plan_sub, cfg.n_boot, tuning_subseed(cfg.seed, c1, c2, int(start), m))
-        g_sub = quantile_deviation_prob(window, rp_sub, cfg.p, cfg.x)
-        deviations.append(abs(g_sub - g_full) ** cfg.rho)
-    return CellDiagnostics(c1=c1, c2=c2, plan=plan_full, err=float(np.mean(deviations)), full_sample_prob=g_full)
-
-
 def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     """Tuning diagnostics for every cell of the candidate grid.
 
-    Cells whose plan is degenerate at either sample size carry ``nan`` error
-    and a ``None`` plan; the row order is ``c1`` outer, ``c2`` inner.
+    One :func:`~blockboot.estimators.quantile_deviation_probs` call covers the feasible cells on the full
+    series, and one each subsample window; the exact law reads no seed, so none is derived.  Cells whose
+    plan is degenerate at either sample size carry ``nan`` error and a ``None`` plan; the row order is
+    ``c1`` outer, ``c2`` inner.
     """
     values = as_values(series)
-    return [_cell_diagnostics(values, cfg, c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
+    n = values.size
+    m = default_subsample_len(n) if cfg.subsample_len is None else int(cfg.subsample_len)
+    cells = [(c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
+    feasible = {}
+    for i, (c1, c2) in enumerate(cells):
+        try:
+            feasible[i] = {n: plan_from_constants(n, c1, c2), m: plan_from_constants(m, c1, c2)}
+        except ValueError:
+            pass
+
+    def estimates(window, start):
+        rps = [ResamplePlan(plans[window.size], cfg.n_boot, 0 if cfg.n_boot is None else tuning_subseed(cfg.seed, *cells[i], start, window.size)) for i, plans in feasible.items()]
+        return quantile_deviation_probs(window, rps, cfg.p, cfg.x).tolist()
+
+    g_full = estimates(values, 0)
+    deviations = [[] for _ in feasible]
+    for start in subsample_starts(n, m, cfg.subsample_count):
+        for dev, g_sub, g in zip(deviations, estimates(values[start : start + m], int(start)), g_full):
+            dev.append(abs(g_sub - g) ** cfg.rho)
+    rows = {i: CellDiagnostics(*cells[i], plans[n], float(np.mean(dev)), g) for (i, plans), dev, g in zip(feasible.items(), deviations, g_full)}
+    return [rows[i] if i in rows else CellDiagnostics(c1, c2, None, math.nan, math.nan) for i, (c1, c2) in enumerate(cells)]
 
 
 def argmin_cell(diagnostics) -> int:

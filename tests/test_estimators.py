@@ -7,7 +7,16 @@ import pytest
 
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
-from blockboot.estimators import CiResult, _starts, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
+from blockboot.estimators import (
+    CiResult,
+    _starts,
+    cdf_deviation_prob,
+    cdf_deviation_probs,
+    lower_confidence_bound,
+    lower_confidence_bounds,
+    quantile_deviation_prob,
+    quantile_deviation_probs,
+)
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
@@ -103,6 +112,39 @@ class TestFastPaths:
         rp = ResamplePlan(plan, 50_000, 13)
         got = cdf_deviation_prob(values, rp, x, y)
         assert abs(got - exact) <= 3 * math.sqrt(exact * (1 - exact) / 50_000) + 1e-12
+
+
+class TestGridCalls:
+    """A grid call returns, entry for entry, what the per-plan call returns for that plan."""
+
+    N = 24
+    # Repeated block lengths, b = 1, the moving-block row (4, 6), ell = n and (1, 1).
+    PLANS = [(3, 2), (1, 24), (4, 6), (1, 2), (7, 3), (1, 1), (2, 6), (12, 2), (1, 6), (5, 3)]
+
+    def grid(self, n_boot):
+        order = substream(61).permutation(len(self.PLANS))
+        return [ResamplePlan(BlockPlan(*self.PLANS[i]), n_boot, 100 + int(i)) for i in order]
+
+    @pytest.mark.parametrize("n_boot", [250, None])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_grid_equals_per_plan_calls(self, n_boot, ties):
+        values = substream(62).standard_normal(self.N)
+        values = np.round(values * 2) if ties else values
+        rps = self.grid(n_boot)
+        got = quantile_deviation_probs(values, rps, 0.5, 0.3)
+        assert got.shape == (len(rps),) and list(got) == [quantile_deviation_prob(values, rp, 0.5, 0.3) for rp in rps]
+        got = cdf_deviation_probs(values, rps, 0.1, -0.2)
+        assert list(got) == [cdf_deviation_prob(values, rp, 0.1, -0.2) for rp in rps]
+        got = lower_confidence_bounds(values, rps, 0.4, 0.9)
+        assert list(got) == [lower_confidence_bound(values, rp, 0.4, 0.9).lower for rp in rps]
+
+    def test_empty_grid_and_checks(self):
+        values = substream(63).standard_normal(self.N)
+        assert quantile_deviation_probs(values, [], 0.5, 0.0).shape == (0,)
+        with pytest.raises(ValueError):
+            cdf_deviation_probs(values, self.grid(10) + [ResamplePlan(BlockPlan(1, self.N + 1), 10, 0)], 0.0, 0.0)
+        with pytest.raises(ValueError):
+            lower_confidence_bounds(values, self.grid(10), 0.5, 1.0)
 
 
 def brute_force_prob(values, b, ell, event):

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
-from blockboot import harness
+from blockboot import harness, tuning
 from blockboot.harness import (
     ExperimentConfig,
     GridSpec,
@@ -179,6 +180,18 @@ class TestExactGrids:
             assert (m.n_blocks, m.block_length) == (e.n_blocks, e.block_length)
             assert m.value != e.value
             assert abs(m.value - e.value) <= 4 * m.stderr
+
+
+    def test_exact_grids_derive_no_seed(self, monkeypatch):
+        def no_seed(*args):
+            raise AssertionError("an exact-law run derived a bootstrap seed")
+
+        monkeypatch.setattr(harness, "cell_seed", no_seed)
+        monkeypatch.setattr(tuning, "tuning_subseed", no_seed)
+        cfg = tiny_config(n=64, n_reps=3, exact=True, y=0.5, alpha=0.9, c1_grid=(0.5, 1.0), c2_grid=(0.5, 1.0), subsample_len=27, subsample_count=3)
+        for grid_fn in (mse_grid, cdf_mse_grid, coverage_grid):
+            assert len(grid_fn(cfg).rows) == 3
+        assert len(adaptive_study(cfg).cell_rows) == 4
 
 
 class TestCdfMseGrid:
@@ -392,7 +405,7 @@ class TestReferenceCache:
         monkeypatch.setattr(harness, "reference_value", counting)
         path = tmp_path / "cache.json"
         current = harness._code_fingerprint()
-        assert current.startswith(f"numpy={np.__version__}|code=")
+        assert current.startswith(f"numpy={np.__version__}|scipy={scipy.__version__}|code=")
         ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)
         monkeypatch.setattr(harness, "_code_fingerprint", lambda: "numpy=0.0|code=000000000000")
         ReferenceCache(str(path)).get_or_compute(arma11_model(), 20, "quantile", 1.0, n_sims=2000, seed=9)

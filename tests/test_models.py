@@ -210,6 +210,19 @@ class TestPolyMixing:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "True"]
 
+    def test_scipy_special_loads_only_for_a_marginal(self):
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys, blockboot.cli\n"
+            "from blockboot.models import arma11_model\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "arma11_model().marginal_quantile(0.5)\n"
+            "print(before, 'scipy.special' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
+
 
 class TestStationarity:
     N_REPS = 10**5
