@@ -1,11 +1,12 @@
 """Monte Carlo experiment engine: reference values, error grids, rate and tuning studies.
 
 Every experiment follows the same protocol: simulate ``n_reps`` independent
-series, evaluate a bootstrap estimator on each over a grid of block plans in
-one :mod:`~blockboot.estimators` call, and aggregate per-cell metrics against
-a reference value obtained from a separate massive simulation.  Seeding is hierarchical; the substream of each
-(cell, replication) pair is derived from the master seed alone, so results
-are bit-identical for any worker count and any scheduling order.
+series, evaluate a bootstrap estimator on each over a grid of block plans
+(one :mod:`~blockboot.estimators` call per series), and aggregate per-cell
+metrics against a reference value obtained from a separate massive
+simulation.  Seeding is hierarchical; the substream of each (cell,
+replication) pair is derived from the master seed alone, so results are
+bit-identical for any worker count and any scheduling order.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the

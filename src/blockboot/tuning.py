@@ -13,6 +13,7 @@ default 20 subsamples equally spaced along the series are used.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -167,10 +168,8 @@ def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     cells = [(c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
     feasible = {}
     for i, (c1, c2) in enumerate(cells):
-        try:
+        with contextlib.suppress(ValueError):
             feasible[i] = {n: plan_from_constants(n, c1, c2), m: plan_from_constants(m, c1, c2)}
-        except ValueError:
-            pass
 
     def estimates(window, start):
         rps = [ResamplePlan(plans[window.size], cfg.n_boot, 0 if cfg.n_boot is None else tuning_subseed(cfg.seed, *cells[i], start, window.size)) for i, plans in feasible.items()]
