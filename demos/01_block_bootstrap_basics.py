@@ -17,12 +17,12 @@ from blockboot import (
     bootstrap_quantile_distribution,
     draw_block_starts,
     exact_quantile_distribution,
-    lower_confidence_bound,
     paste_blocks,
     sample_quantile,
     simulate,
     substream,
 )
+from blockboot.estimators import lower_confidence_bounds
 
 series = simulate(arma11_model(), n=200, seed=7)
 print(f"simulated {series.size} observations; sample median = {sample_quantile(series, 0.5):+.4f}")
@@ -43,7 +43,7 @@ for alpha in (0.05, 0.5, 0.95):
 
 # The same machinery spans subsampling (1 block) through the moving block
 # bootstrap (floor(n/ell) blocks); only the plan changes.
-for label, p2 in [("subsampling", BlockPlan.subsampling(8)), ("hybrid", plan), ("mbb", BlockPlan.mbb(series.size, 8))]:
+for label, p2 in [("subsampling", BlockPlan(1, 8)), ("hybrid", plan), ("mbb", BlockPlan.mbb(series.size, 8))]:
     d = bootstrap_quantile_distribution(series, ResamplePlan(p2, 5000, 123), 0.5)
     print(f"  {label:11s} (b={p2.n_blocks:3d}, ell={p2.block_length}): sd of atoms = {np.sqrt(np.cov(d.values, fweights=d.counts)):.4f}")
 
@@ -57,8 +57,8 @@ print(f"\ntiny instance: {exact.total} equally likely start tuples, {exact.value
 worst = max(abs(mc.cdf(v) - q) for v, q in zip(exact.values, np.cumsum(exact.counts) / exact.total))
 print(f"largest |MC - exact| CDF gap over the atoms: {worst:.4f}")
 
-# A one-sided lower confidence bound for the population median (here 0).
-ci = lower_confidence_bound(series, rp, p=0.5, alpha=0.90)
-print(f"\n90% lower confidence bound for the median: {ci.lower:+.4f} (true value 0)")
-ci_exact = lower_confidence_bound(series, ResamplePlan(plan, n_boot=None, seed=0), p=0.5, alpha=0.90)
-print(f"the same bound from the exact bootstrap law:  {ci_exact.lower:+.4f}")
+# A one-sided lower confidence bound for the population median (here 0),
+# from the Monte Carlo law and from the exact law: one bound per plan given.
+lower, lower_exact = lower_confidence_bounds(series, [rp, ResamplePlan(plan, n_boot=None, seed=0)], p=0.5, alpha=0.90)
+print(f"\n90% lower confidence bound for the median: {lower:+.4f} (true value 0)")
+print(f"the same bound from the exact bootstrap law:  {lower_exact:+.4f}")

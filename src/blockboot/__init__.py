@@ -18,7 +18,7 @@ from .empirical import (
     order_stat_index,
     sample_quantile,
 )
-from .estimators import CiResult, cdf_deviation_prob, lower_confidence_bound, quantile_deviation_prob
+from .estimators import cdf_deviation_prob, quantile_deviation_prob
 from .models import (
     MODEL_NAMES,
     ModelSpec,
@@ -55,7 +55,6 @@ from .tuning import (
 __all__ = [
     "__version__",
     "BlockPlan",
-    "CiResult",
     "EmpiricalDistribution",
     "MODEL_NAMES",
     "ModelSpec",
@@ -76,7 +75,6 @@ __all__ = [
     "empirical_cdf",
     "exact_quantile_distribution",
     "float_key",
-    "lower_confidence_bound",
     "model_from_name",
     "order_stat_index",
     "paste_blocks",

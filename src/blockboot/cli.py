@@ -265,8 +265,8 @@ def _check_reference(cfg: harness.ExperimentConfig) -> None:
 
 
 def _check_rate(cfg: harness.ExperimentConfig) -> None:
-    if len(cfg.n_list) < 3:
-        raise ConfigError("config key 'n_list' must hold at least three sample sizes")
+    if len(set(cfg.n_list)) < 3:
+        raise ConfigError("config key 'n_list' must hold at least three distinct sample sizes")
 
 
 # Runners take (experiment, cfg, raw, out), write the subcommand's CSVs into
@@ -275,7 +275,10 @@ def _check_rate(cfg: harness.ExperimentConfig) -> None:
 def _run_reference(experiment, cfg, raw, out):
     kind = raw.get("kind") or "quantile"
     y = cfg.y if kind == "cdf" else None  # kind 'quantile' does not read y
-    cache = harness.ReferenceCache(os.path.join(out, "reference_cache.json"))
+    try:
+        cache = harness.ReferenceCache(os.path.join(out, "reference_cache.json"))
+    except ValueError as exc:
+        raise ConfigError(f"config key 'out': {exc}") from exc
     ref = cache.get_or_compute(cfg.model, cfg.n, kind, cfg.x, y=y, p=cfg.p, n_sims=cfg.ref_sims, seed=cfg.master_seed, workers=cfg.workers)
     path = os.path.join(out, "reference.csv")
     header = ("model", "n", "kind", "x", "y", "value", "stderr", "n_sims")

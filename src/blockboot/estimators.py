@@ -2,11 +2,11 @@
 
 A resampled quantile falls below a threshold exactly when the pasted series
 holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
-and the percentile bound read the law of a sum of block counts from
-:func:`~blockboot.resample.count_sum_law`: Monte Carlo on the start matrix
-seeded by ``rp.seed``, agreeing bit for bit with the pasting definitions in
-:mod:`~blockboot.resample`, or exact when ``rp.n_boot`` is ``None``.  The
-bound finds ``G^{-1}(alpha)`` by bisection over that law; nothing is pasted.
+and the percentile bound read that tail (``_quantile_below``) of the law of a
+sum of block counts from :func:`~blockboot.resample.count_sum_law`: Monte Carlo
+on the start matrix seeded by ``rp.seed``, agreeing bit for bit with the
+pasting definitions in :mod:`~blockboot.resample`, or exact when ``rp.n_boot``
+is ``None``.  The bound finds ``G^{-1}(alpha)`` by bisection; nothing is pasted.
 
 Each estimate takes a sequence of plans and returns one value per plan, in
 order: the center and the window counts are computed once per block length,
@@ -16,37 +16,20 @@ each plan draws from its own seed, and the singular functions are one-plan calls
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import BlockPlan, ResamplePlan, _check_plan, count_sum_law, window_counts
+from .resample import ResamplePlan, _check_plan, count_sum_law, window_counts
 from .seeding import substream
 
 __all__ = [
-    "CiResult",
-    "lower_confidence_bound",
     "lower_confidence_bounds",
     "quantile_deviation_prob",
     "quantile_deviation_probs",
     "cdf_deviation_prob",
     "cdf_deviation_probs",
 ]
-
-
-@dataclass(frozen=True)
-class CiResult:
-    """A one-sided lower confidence bound and the settings that produced it."""
-
-    lower: float
-    alpha: float
-    plan: BlockPlan
-    n_boot: int | None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 def _starts(n: int, rp: ResamplePlan):
@@ -66,6 +49,12 @@ def _by_block_length(n: int, rps) -> dict:
     return groups
 
 
+def _quantile_below(counts, rp: ResamplePlan, starts, p: float):
+    """Tail weight from ``ceil(b*ell*p)`` of the count-sum law of ``counts``, and its total; for counts of ``values <= t``, P*(quantile <= t) = weight / total."""
+    weights, total = count_sum_law(counts, rp.plan, starts)
+    return weights[order_stat_index(rp.plan.total_length, p) :].sum(), total
+
+
 def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
     """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``rps``.
 
@@ -78,8 +67,8 @@ def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
         scales = np.sqrt([rp.plan.n_blocks * ell for _, rp in cells])
         rows = window_counts(values <= (center + x / scales)[:, None], ell)
         for (i, rp), row in zip(cells, rows):
-            weights, total = count_sum_law(row, rp.plan, _starts(values.size, rp))
-            out[i] = weights[order_stat_index(rp.plan.total_length, p) :].sum() / total
+            hits, total = _quantile_below(row, rp, _starts(values.size, rp), p)
+            out[i] = hits / total
     return out
 
 
@@ -119,21 +108,17 @@ def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
     for ell, cells in _by_block_length(values.size, rps).items():
         center = block_averaged_quantile(values, ell, p)
         for i, rp in cells:
-            k, starts = order_stat_index(rp.plan.total_length, p), _starts(values.size, rp)
+            starts = _starts(values.size, rp)
 
             def reaches_alpha(j):
                 # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
-                weights, total = count_sum_law(window_counts(values <= ordered[j], ell), rp.plan, starts)
-                return weights[k:].sum() >= total * alpha * (1.0 - _INDEX_GUARD)
+                # Multiplied, not `hits / total >= alpha * (1 - guard)`, which rounds differently for some alpha.
+                hits, total = _quantile_below(window_counts(values <= ordered[j], ell), rp, starts, p)
+                return hits >= total * alpha * (1.0 - _INDEX_GUARD)
 
             v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
             out[i] = q_hat - np.sqrt(rp.plan.total_length) * (v - center) / np.sqrt(values.size)
     return out
-
-
-def lower_confidence_bound(series, rp: ResamplePlan, p: float, alpha: float) -> CiResult:
-    """Lower percentile confidence bound for the p-quantile: :func:`lower_confidence_bounds` for one plan."""
-    return CiResult(lower=float(lower_confidence_bounds(series, (rp,), p, alpha)[0]), alpha=alpha, plan=rp.plan, n_boot=rp.n_boot)
 
 
 def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> float:

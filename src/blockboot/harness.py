@@ -4,9 +4,11 @@ Every experiment follows the same protocol: simulate ``n_reps`` independent
 series, evaluate a bootstrap estimator on each over a grid of block plans
 (one :mod:`~blockboot.estimators` call per series), and aggregate per-cell
 metrics against a reference value obtained from a separate massive
-simulation.  Seeding is hierarchical; the substream of each (cell,
-replication) pair is derived from the master seed alone, so results are
-bit-identical for any worker count and any scheduling order.
+simulation.  The three surfaces (MSE, CDF MSE, coverage) share one driver
+and differ only in the per-replication quantity.  Seeding is hierarchical;
+the substream of each (cell, replication) pair is derived from the master
+seed alone, so results are bit-identical for any worker count and any
+scheduling order.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the
@@ -120,6 +122,8 @@ class GridSpec:
             plans = [BlockPlan(int(b), int(ell)) for b, ell in self.cells]
             if not plans:
                 raise ValueError("explicit cell list is empty")
+            if len(set(plans)) < len(plans):
+                raise ValueError("explicit cell list repeats a cell")
             if max(p.block_length for p in plans) > n:
                 raise ValueError(f"a cell's block length exceeds n={n}")
             return plans
@@ -363,8 +367,9 @@ def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
 
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
-    # int64 counts: adding bool arrays would be a logical or.
-    return ((q_true >= lower_confidence_bounds(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.alpha)).astype(np.int64),)
+    # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
+    hits = (q_true >= lower_confidence_bounds(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.alpha)).astype(np.int64)
+    return hits, hits
 
 
 def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
@@ -376,11 +381,11 @@ def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
     return err, err**2, d2, d4, selected, d2[best], d4[best]
 
 
-def _grid_result(cfg: ExperimentConfig, plans, metric, values, stderrs) -> GridResult:
-    rows = tuple(
-        GridRow(n_blocks=pl.n_blocks, block_length=pl.block_length, metric=metric, value=float(v), stderr=float(s))
-        for pl, v, s in zip(plans, values, stderrs)
-    )
+def _surface(cfg: ExperimentConfig, per_rep, target, metric: str) -> GridResult:
+    """Per-plan ``metric`` rows: mean and standard error of the per-cell ``(quantity, its square)`` that ``per_rep`` returns."""
+    plans = cfg.grid.plans(cfg.n)
+    values, stderrs = _mean_stderr(*_replicate(cfg, per_rep, plans, target), cfg.n_reps)
+    rows = tuple(GridRow(pl.n_blocks, pl.block_length, metric, float(v), float(s)) for pl, v, s in zip(plans, values, stderrs))
     return GridResult(rows=rows, n=cfg.n)
 
 
@@ -391,32 +396,21 @@ def mse_grid(cfg: ExperimentConfig) -> GridResult:
     independent series, where each ``G_hat`` uses ``cfg.n_boot`` bootstrap
     replicates (or the exact conditional law when ``cfg.exact``).
     """
-    ref = _resolve_reference(cfg, "quantile")
-    plans = cfg.grid.plans(cfg.n)
-    mse, stderr = _mean_stderr(*_replicate(cfg, _mse_rep, plans, ref.value), cfg.n_reps)
-    return _grid_result(cfg, plans, "mse", mse, stderr)
+    return _surface(cfg, _mse_rep, _resolve_reference(cfg, "quantile").value, "mse")
 
 
 def cdf_mse_grid(cfg: ExperimentConfig) -> GridResult:
     """Squared-error surface of the bootstrap CDF-deviation estimator at ``(x, y)``."""
     if cfg.y is None:
         raise ValueError("cdf_mse_grid requires the evaluation point y")
-    ref = _resolve_reference(cfg, "cdf")
-    plans = cfg.grid.plans(cfg.n)
-    mse, stderr = _mean_stderr(*_replicate(cfg, _cdf_mse_rep, plans, ref.value), cfg.n_reps)
-    return _grid_result(cfg, plans, "mse", mse, stderr)
+    return _surface(cfg, _cdf_mse_rep, _resolve_reference(cfg, "cdf").value, "mse")
 
 
 def coverage_grid(cfg: ExperimentConfig) -> GridResult:
     """Coverage of the nominal-``alpha`` lower percentile confidence bound per plan."""
     if cfg.alpha is None:
         raise ValueError("coverage_grid requires alpha")
-    q_true = cfg.model.marginal_quantile(cfg.p)
-    plans = cfg.grid.plans(cfg.n)
-    (covered,) = _replicate(cfg, _coverage_rep, plans, q_true)
-    # Hits are 0 or 1, so the sum of their squares is the hit count itself.
-    coverage, stderr = _mean_stderr(covered, covered, cfg.n_reps)
-    return _grid_result(cfg, plans, "coverage", coverage, stderr)
+    return _surface(cfg, _coverage_rep, cfg.model.marginal_quantile(cfg.p), "coverage")
 
 
 def adaptive_study(cfg: ExperimentConfig) -> AdaptiveResult:
@@ -482,11 +476,11 @@ def rate_study(cfg: ExperimentConfig) -> RateResult:
     """Grid-minimum MSE per sample size and the log-log regression slope.
 
     Runs :func:`mse_grid` for every ``n`` in ``cfg.n_list`` (at least three
-    sizes), takes each grid's minimum, and regresses ``log(min MSE)`` on
-    ``log(n)``.
+    distinct sizes), takes each grid's minimum, and regresses ``log(min MSE)``
+    on ``log(n)``.
     """
-    if len(cfg.n_list) < 3:
-        raise ValueError("rate_study requires at least three sample sizes")
+    if len(set(cfg.n_list)) < 3:
+        raise ValueError("rate_study requires at least three distinct sample sizes")
     minima = []
     grids = {}
     for n in cfg.n_list:
@@ -574,19 +568,26 @@ class ReferenceCache:
     A change to the simulation code, to numpy or to scipy changes the fingerprint, so a
     value cached by other code misses and is simulated again.  Each write
     first merges in the entries on disk, so caches sharing a file keep each
-    other's values unless two of them write at the same moment.
+    other's values unless two of them write at the same moment.  A file that
+    holds no JSON object raises ``ValueError`` naming it.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self.path = path
         self._fingerprint = _code_fingerprint()
         self._store: dict = self._on_disk()
 
     def _on_disk(self) -> dict:
-        if self.path is None or not os.path.exists(self.path):
+        if not os.path.exists(self.path):
             return {}
         with open(self.path, encoding="utf-8") as handle:
-            return json.load(handle)
+            try:
+                store = json.load(handle)
+            except ValueError:  # includes invalid JSON and invalid UTF-8
+                store = None
+        if not isinstance(store, dict):
+            raise ValueError(f"reference cache {self.path} does not hold a JSON object")
+        return store
 
     def _key(self, model: ModelSpec, n: int, kind: str, x: float, y: float | None, p: float, n_sims: int, seed: int) -> str:
         # Only the point the kind reads: y for "cdf", the level p for "quantile".
@@ -599,8 +600,7 @@ class ReferenceCache:
         if key not in self._store:
             ref = reference_value(model, n, kind, x, y=y, p=p, n_sims=n_sims, seed=seed, workers=workers)
             self._store[key] = {"value": ref.value, "stderr": ref.stderr, "n_sims": ref.n_sims}
-            if self.path is not None:
-                self._store = {**self._on_disk(), **self._store}
-                _write_atomic(self.path, json.dumps(self._store, indent=2, sort_keys=True) + "\n")
+            self._store = {**self._on_disk(), **self._store}
+            _write_atomic(self.path, json.dumps(self._store, indent=2, sort_keys=True) + "\n")
         entry = self._store[key]
         return RefResult(value=entry["value"], stderr=entry["stderr"], n_sims=entry["n_sims"])

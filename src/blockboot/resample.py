@@ -39,6 +39,10 @@ __all__ = [
     "exact_quantile_distribution",
 ]
 
+# Up to this many start tuples, exact_quantile_distribution's rounded multiplicities are exact.
+_MAX_TUPLES = 10**6
+
+
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed a size limit."""
 
@@ -64,11 +68,6 @@ class BlockPlan:
     def mbb(cls, n: int, block_length: int) -> "BlockPlan":
         """Moving-block-bootstrap plan, ``n_blocks = floor(n / block_length)``."""
         return cls(n // block_length, block_length)
-
-    @classmethod
-    def subsampling(cls, block_length: int) -> "BlockPlan":
-        """Single-block (subsampling) plan."""
-        return cls(1, block_length)
 
 
 @dataclass(frozen=True)
@@ -152,34 +151,21 @@ def paste_blocks(series, starts, block_length: int) -> np.ndarray:
     return values[starts[:, None] + np.arange(ell)].ravel()
 
 
-def quantile_statistic(series, plan: BlockPlan, p: float, rng: np.random.Generator, center: float | None = None) -> float:
-    """One bootstrap replicate of the centered, scaled quantile statistic.
+def quantile_statistic(series, plan: BlockPlan, p: float, rng: np.random.Generator) -> float:
+    """One bootstrap replicate of the centered, scaled p-quantile statistic, its block starts drawn from ``rng``.
 
-    Parameters
-    ----------
-    series : array-like
-        Observed series.
-    plan : BlockPlan
-        Number of blocks and block length.
-    p : float
-        Quantile level in (0, 1).
-    rng : numpy.random.Generator
-        Source of the block starts.
-    center : float, optional
-        Precomputed block-averaged quantile; computed from ``series`` when
-        omitted.
+    Computes ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``.
     """
     values = as_values(series)
     b, ell = _check_plan(values.size, plan)
-    if center is None:
-        center = block_averaged_quantile(values, ell, p)
+    center = block_averaged_quantile(values, ell, p)
     starts = draw_block_starts(rng, values.size, plan)
     k = order_stat_index(b * ell, p)
     pasted = paste_blocks(values, starts, ell)
     return float(np.sqrt(b * ell) * (np.partition(pasted, k - 1)[k - 1] - center))
 
 
-def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, center: float | None = None) -> float:
+def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator) -> float:
     """One replicate of the scaled deviation of the resampled CDF at ``x``.
 
     Computes ``sqrt(b*ell) * (F*(x) - Ftilde(x))`` where ``F*`` averages the
@@ -188,8 +174,7 @@ def cdf_statistic(series, plan: BlockPlan, x: float, rng: np.random.Generator, c
     """
     values = as_values(series)
     b, ell = _check_plan(values.size, plan)
-    if center is None:
-        center = block_averaged_cdf(values, ell, x)
+    center = block_averaged_cdf(values, ell, x)
     starts = draw_block_starts(rng, values.size, plan)
     fstar = np.count_nonzero(paste_blocks(values, starts, ell) <= x) / (b * ell)
     return float(np.sqrt(b * ell) * (fstar - center))
@@ -241,7 +226,7 @@ def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> Empir
     return EmpiricalDistribution(values=atoms, counts=counts, total=rp.n_boot)
 
 
-def exact_quantile_distribution(series, plan: BlockPlan, p: float, max_tuples: int = 10**6) -> EmpiricalDistribution:
+def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalDistribution:
     """Exact conditional distribution of the quantile statistic.
 
     The resampled quantile is always an observation.  The multiplicities are
@@ -251,13 +236,13 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float, max_tuples: i
     Raises
     ------
     ResourceLimitError
-        If the number of tuples exceeds ``max_tuples``.
+        If the number of tuples exceeds ``_MAX_TUPLES``.
     """
     values = as_values(series)
     b, ell = _check_plan(values.size, plan)
     total = (values.size - ell + 1) ** b
-    if total > max_tuples:
-        raise ResourceLimitError(f"{total} start tuples exceed the cap of {max_tuples}")
+    if total > _MAX_TUPLES:
+        raise ResourceLimitError(f"{total} start tuples exceed the cap of {_MAX_TUPLES}")
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     atoms = np.unique(values)

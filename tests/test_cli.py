@@ -85,6 +85,7 @@ MALFORMED = {
     "grid b not a pair": ("mse-grid", dict(grid={"b": 5}), "grid.'b'"),
     "grid ell_step zero": ("mse-grid", dict(grid={"ell_step": 0}), "grid.'ell_step'"),
     "cell longer than n": ("mse-grid", dict(grid={"cells": [[1, 50]]}), "'grid'"),
+    "repeated cell": ("mse-grid", dict(grid={"cells": [[2, 2], [2, 2]]}), "'grid'"),
     "p outside (0, 1)": ("mse-grid", dict(p=1.5), "'p'"),
     "x not finite": ("mse-grid", dict(x=math.nan), "'x'"),
     "y infinite": ("cdf-mse-grid", dict(y=math.inf), "'y'"),
@@ -103,6 +104,7 @@ MALFORMED = {
     "exact in reference": ("reference", dict(exact=True), "'exact'"),
     "rate-study cell longer than a size": ("rate-study", dict(n_list=[30, 60, 90], grid={"cells": [[1, 40]]}), "'grid'"),
     "rate-study with two sizes": ("rate-study", dict(n_list=[30, 60]), "'n_list'"),
+    "rate-study with one size repeated": ("rate-study", dict(n_list=[20, 20, 20]), "'n_list'"),
     "reference kind unknown": ("reference", dict(kind="median"), "'kind'"),
     "reference kind cdf without y": ("reference", dict(kind="cdf"), "'y'"),
     "polymix nu not finite": ("mse-grid", dict(model={"name": "polymix", "nu": math.inf}), "model.'nu'"),
@@ -144,6 +146,16 @@ class TestMalformedValues:
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries())
         assert main(["mse-grid", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
         assert "'workers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_malformed_reference_cache_names_out(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "reference_cache.json").write_bytes(text.encode("latin-1"))
+        cfg = write_config(tmp_path / "c.yaml", model="arma11", n=30, x=1.0, ref_replications=500)
+        assert main(["reference", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'out'" in err and "reference_cache.json" in err
 
 
 # Entries over tiny_entries() that leave only keys reference reads.

@@ -8,11 +8,9 @@ import pytest
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
 from blockboot.estimators import (
-    CiResult,
     _starts,
     cdf_deviation_prob,
     cdf_deviation_probs,
-    lower_confidence_bound,
     lower_confidence_bounds,
     quantile_deviation_prob,
     quantile_deviation_probs,
@@ -136,7 +134,7 @@ class TestGridCalls:
         got = cdf_deviation_probs(values, rps, 0.1, -0.2)
         assert list(got) == [cdf_deviation_prob(values, rp, 0.1, -0.2) for rp in rps]
         got = lower_confidence_bounds(values, rps, 0.4, 0.9)
-        assert list(got) == [lower_confidence_bound(values, rp, 0.4, 0.9).lower for rp in rps]
+        assert list(got) == [lower_confidence_bounds(values, [rp], 0.4, 0.9)[0] for rp in rps]
 
     def test_empty_grid_and_checks(self):
         values = substream(63).standard_normal(self.N)
@@ -191,8 +189,7 @@ class TestExactLaw:
             p, alpha = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
             plan = BlockPlan(b, ell)
             expected = sample_quantile(values, p) - exact_quantile_distribution(values, plan, p).quantile(alpha) / np.sqrt(values.size)
-            result = lower_confidence_bound(values, ResamplePlan(plan, None, 0), p, alpha)
-            assert result.lower == expected and result.n_boot is None
+            assert lower_confidence_bounds(values, [ResamplePlan(plan, None, 0)], p, alpha)[0] == expected
 
 
 class TestLowerConfidenceBound:
@@ -214,17 +211,16 @@ class TestLowerConfidenceBound:
             rp = ResamplePlan(BlockPlan(b, ell), n_boot, trial)
             p = float(rng.uniform(0.01, 0.99))
             expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
-            result = lower_confidence_bound(values, rp, p, alpha)
-            assert result.lower == expected and result.n_boot == n_boot
+            assert lower_confidence_bounds(values, [rp], p, alpha)[0] == expected
 
     def test_bound_pastes_nothing(self, monkeypatch):
         def paste(*args, **kwargs):
-            raise AssertionError("lower_confidence_bound pasted the bootstrap law")
+            raise AssertionError("lower_confidence_bounds pasted the bootstrap law")
 
         monkeypatch.setattr(resample, "bootstrap_quantile_distribution", paste)
         monkeypatch.setattr(estimators, "bootstrap_quantile_distribution", paste, raising=False)
         values = substream(45).standard_normal(60)
-        assert math.isfinite(lower_confidence_bound(values, ResamplePlan(BlockPlan(5, 6), 500, 1), 0.5, 0.9).lower)
+        assert math.isfinite(lower_confidence_bounds(values, [ResamplePlan(BlockPlan(5, 6), 500, 1)], 0.5, 0.9)[0])
 
     def test_start_matrix_is_block_major(self):
         n, rp = 30, ResamplePlan(BlockPlan(4, 7), 50, 12)
@@ -236,27 +232,25 @@ class TestLowerConfidenceBound:
         assert _starts(n, ResamplePlan(rp.plan, None, 12)) is None
 
     def test_constant_series(self):
-        result = lower_confidence_bound(np.full(20, 4.2), ResamplePlan(BlockPlan(4, 3), 200, 5), 0.5, 0.9)
-        assert result.lower == 4.2
+        assert lower_confidence_bounds(np.full(20, 4.2), [ResamplePlan(BlockPlan(4, 3), 200, 5)], 0.5, 0.9)[0] == 4.2
 
     def test_monotone_in_alpha(self):
         values = substream(38).standard_normal(50)
         rp = ResamplePlan(BlockPlan(4, 4), 400, 21)
-        lowers = [lower_confidence_bound(values, rp, 0.5, a).lower for a in (0.5, 0.8, 0.9, 0.99)]
+        lowers = [lower_confidence_bounds(values, [rp], 0.5, a)[0] for a in (0.5, 0.8, 0.9, 0.99)]
         assert np.all(np.diff(lowers) <= 0)
 
     def test_shift_equivariance(self):
         values = substream(39).standard_normal(40)
         rp = ResamplePlan(BlockPlan(3, 5), 300, 22)
-        base = lower_confidence_bound(values, rp, 0.5, 0.9).lower
+        base = lower_confidence_bounds(values, [rp], 0.5, 0.9)[0]
         for shift in (-3.0, 0.5, 11.0):
-            shifted = lower_confidence_bound(values + shift, rp, 0.5, 0.9).lower
+            shifted = lower_confidence_bounds(values + shift, [rp], 0.5, 0.9)[0]
             assert shifted == pytest.approx(base + shift, abs=1e-9)
 
     def test_alpha_validation(self):
         values = substream(40).standard_normal(20)
         rp = ResamplePlan(BlockPlan(2, 3), 50, 1)
-        with pytest.raises(ValueError):
-            lower_confidence_bound(values, rp, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            CiResult(lower=0.0, alpha=0.0, plan=BlockPlan(1, 1), n_boot=1)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                lower_confidence_bounds(values, [rp], 0.5, alpha)

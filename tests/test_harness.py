@@ -298,6 +298,10 @@ class TestRateStudy:
         with pytest.raises(ValueError):
             rate_study(tiny_config(n_list=(100, 200)))
 
+    def test_requires_three_distinct_sizes(self):
+        with pytest.raises(ValueError, match="distinct"):
+            rate_study(tiny_config(n_list=(20, 20, 20)))
+
     def test_tiny_end_to_end(self):
         cfg = tiny_config(
             n_list=(30, 60, 90),

@@ -57,7 +57,6 @@ class TestBlockPlan:
 
     def test_named_constructors(self):
         assert BlockPlan.mbb(200, 6) == BlockPlan(33, 6)
-        assert BlockPlan.subsampling(14) == BlockPlan(1, 14)
         assert BlockPlan(3, 4).total_length == 12
 
 
@@ -189,7 +188,7 @@ class TestExactDistribution:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
-            exact_quantile_distribution(np.arange(100.0), BlockPlan(4, 2), 0.5, max_tuples=10**4)
+            exact_quantile_distribution(np.arange(100.0), BlockPlan(4, 2), 0.5)
 
 
 class TestMonteCarloDistribution:
