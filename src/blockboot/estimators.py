@@ -2,20 +2,24 @@
 
 A resampled quantile falls below a threshold exactly when the pasted series
 holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
-and the percentile bound read that tail (``_quantile_below``) of the law of a
-sum of block counts from :func:`~blockboot.resample.count_sum_law`: Monte Carlo
-on the start matrix seeded by ``rp.seed``, agreeing bit for bit with the
-pasting definitions in :mod:`~blockboot.resample`, or exact when ``rp.n_boot``
-is ``None``.  The bound finds ``G^{-1}(alpha)`` by bisection; nothing is pasted.
+and the percentile bound read that tail of the law of a sum of block counts:
+Monte Carlo on the start matrix seeded by ``rp.seed``, agreeing bit for bit
+with the pasting definitions in :mod:`~blockboot.resample`, or exact when
+``rp.n_boot`` is ``None`` (:func:`~blockboot.resample.count_sum_law`, read by
+``_quantile_below``).  The bound finds ``G^{-1}(alpha)`` by a search over the
+sorted observations (``_first_reaching``); nothing is pasted.  On the exact law
+it probes midpoints, as a bisection does.  On tallies, whose tail counts are
+monotone in the threshold, it starts next to the previous plan's answer at the
+same block length and sums block counts only over the replicates that earlier
+probes left undecided.
 
 Each estimate takes a sequence of plans and returns one value per plan, in
-order: the center and the window counts are computed once per block length,
-each plan draws from its own seed, and the singular functions are one-plan calls.
+order: the center and the window counts are computed once per block length
+(the bound's once per block length and probed threshold), each plan draws
+from its own seed, and the singular functions are one-plan calls.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -49,10 +53,50 @@ def _by_block_length(n: int, rps) -> dict:
     return groups
 
 
-def _quantile_below(counts, rp: ResamplePlan, starts, p: float):
-    """Tail weight from ``ceil(b*ell*p)`` of the count-sum law of ``counts``, and its total; for counts of ``values <= t``, P*(quantile <= t) = weight / total."""
+def _quantile_below(counts, rp: ResamplePlan, starts, k: int):
+    """Tail weight from ``k = ceil(b*ell*p)`` of the count-sum law of ``counts``, and its total; for counts of ``values <= t``, P*(quantile <= t) = weight / total."""
     weights, total = count_sum_law(counts, rp.plan, starts)
-    return weights[order_stat_index(rp.plan.total_length, p) :].sum(), total
+    return weights[k:].sum(), total
+
+
+def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
+    """For each ``(i, rp)`` of ``cells`` in order, ``i`` and the leftmost ``j < n - 1`` with ``P*(quantile <= ordered[j]) >= alpha``, else ``n - 1``.
+
+    ``ordered`` is the sorted series; ``rank`` holds each observation's index in it (the first of its ties), so
+    ``rank <= j`` marks the observations at or below ``ordered[j]``.  The window counts of each probed ``j`` are
+    computed once for all cells.  One loop serves both laws.  The exact law (``n_boot=None``) probes midpoints, as
+    ``bisect_left`` does: its float tail weights need not be monotone in ``j`` to the last bit.  Tallies are, so a Monte Carlo search returns the
+    same ``j`` whatever it probes, and it starts from the previous plan's answer ``g``: ``g - 2`` and ``g + 1``,
+    then ``g - 6`` and ``g + 5``, ``g - 14`` and ``g + 13``, ..., skipping a probe outside the open range, so the
+    bracket widens on the side where the answer lies; then it bisects.  In each pair the lower probe goes first
+    when ``alpha >= 1/2``: it likely fails and settles most replicates.  Each probe gathers only the undecided
+    replicates: one whose quantile is at or below ``ordered[j]`` stays so at every larger ``j``, one above it stays
+    above at every smaller ``j``, so the decided ones leave the start matrix and their hits are counted in ``known``.
+    """
+    rows, warm = {}, ()
+    for i, rp in cells:
+        k, starts = order_stat_index(rp.plan.total_length, p), _starts(rank.size, rp)
+        lo, hi, known, probes = 0, rank.size - 1, 0, iter(() if starts is None else warm)
+        while lo < hi:
+            j = next(probes, (lo + hi) // 2)
+            if not lo <= j < hi:
+                continue
+            if j not in rows:
+                rows[j] = window_counts(rank <= j, ell)
+            if starts is None:
+                hits, total = _quantile_below(rows[j], rp, None, k)
+            else:
+                below = rows[j][starts].sum(axis=0) >= k
+                hits, total = known + np.count_nonzero(below), rp.n_boot
+            # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
+            # Multiplied, not `hits / total >= alpha * (1 - guard)`, which rounds differently for some alpha.
+            reached = hits >= total * alpha * (1.0 - _INDEX_GUARD)
+            if starts is not None:
+                known, starts = (known, starts[:, below]) if reached else (hits, starts[:, ~below])
+            lo, hi = (lo, j) if reached else (j + 1, hi)
+        pairs = ((lo + 2 - 2**s, lo - 3 + 2**s) for s in range(2, rank.size.bit_length() + 1))
+        warm = [j for pair in pairs for j in (pair if alpha >= 0.5 else pair[::-1])]
+        yield i, lo
 
 
 def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
@@ -67,7 +111,7 @@ def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
         scales = np.sqrt([rp.plan.n_blocks * ell for _, rp in cells])
         rows = window_counts(values <= (center + x / scales)[:, None], ell)
         for (i, rp), row in zip(cells, rows):
-            hits, total = _quantile_below(row, rp, _starts(values.size, rp), p)
+            hits, total = _quantile_below(row, rp, _starts(values.size, rp), order_stat_index(rp.plan.total_length, p))
             out[i] = hits / total
     return out
 
@@ -97,27 +141,21 @@ def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
     Each is ``q_hat - G^{-1}(alpha) / sqrt(n)``, ``q_hat`` the sample quantile and ``G`` the bootstrap law of the scaled
     quantile statistic: Monte Carlo (bit for bit ``bootstrap_quantile_distribution(series, rp, p).quantile(alpha)``) or exact.
     ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)`` at the smallest observation ``v`` with
-    ``P*(quantile <= v) >= alpha``, found by bisection; the largest observation always qualifies and is not searched.
+    ``P*(quantile <= v) >= alpha``; the largest observation always qualifies and is not searched.  The exact law is
+    searched by bisection; on tallies the search starts next to the previous plan's answer at the same block length
+    and gathers only the replicates that earlier probes left undecided (:func:`_first_reaching`).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     values = as_values(series)
     ordered = np.sort(values)
+    rank = np.searchsorted(ordered, values)  # values <= ordered[j] exactly when rank <= j
     q_hat = sample_quantile(values, p)
     out = np.empty(len(rps))
     for ell, cells in _by_block_length(values.size, rps).items():
         center = block_averaged_quantile(values, ell, p)
-        for i, rp in cells:
-            starts = _starts(values.size, rp)
-
-            def reaches_alpha(j):
-                # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
-                # Multiplied, not `hits / total >= alpha * (1 - guard)`, which rounds differently for some alpha.
-                hits, total = _quantile_below(window_counts(values <= ordered[j], ell), rp, starts, p)
-                return hits >= total * alpha * (1.0 - _INDEX_GUARD)
-
-            v = ordered[bisect.bisect_left(range(values.size - 1), True, key=reaches_alpha)]
-            out[i] = q_hat - np.sqrt(rp.plan.total_length) * (v - center) / np.sqrt(values.size)
+        for i, g in _first_reaching(rank, ell, cells, p, alpha):
+            out[i] = q_hat - np.sqrt(rps[i].plan.total_length) * (ordered[g] - center) / np.sqrt(values.size)
     return out
 
 

@@ -116,6 +116,10 @@ class GridSpec:
     include_mbb: bool = True
     cells: tuple | None = None
 
+    def __post_init__(self):
+        if self.b_min > self.b_max or self.ell_min > self.ell_max:
+            raise ValueError("b and ell ranges must run from low to high")
+
     def plans(self, n: int) -> list[BlockPlan]:
         """The grid's plans at sample size ``n``; every block length is at most ``n``."""
         if self.cells is not None:

@@ -84,6 +84,8 @@ TUNE = dict(n=64, replications=4, bootstrap_samples=20, c2_grid=[1.0], subsample
 MALFORMED = {
     "grid b not a pair": ("mse-grid", dict(grid={"b": 5}), "grid.'b'"),
     "grid ell_step zero": ("mse-grid", dict(grid={"ell_step": 0}), "grid.'ell_step'"),
+    "grid b range reversed": ("mse-grid", dict(grid={"b": [5, 2]}), "'grid' b and ell ranges must run from low to high"),
+    "grid ell range reversed": ("coverage-grid", dict(grid={"ell": [6, 4]}, alpha=0.9), "'grid' b and ell ranges must run from low to high"),
     "cell longer than n": ("mse-grid", dict(grid={"cells": [[1, 50]]}), "'grid'"),
     "repeated cell": ("mse-grid", dict(grid={"cells": [[2, 2], [2, 2]]}), "'grid'"),
     "p outside (0, 1)": ("mse-grid", dict(p=1.5), "'p'"),

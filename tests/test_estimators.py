@@ -213,6 +213,28 @@ class TestLowerConfidenceBound:
             expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
             assert lower_confidence_bounds(values, [rp], p, alpha)[0] == expected
 
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_grid_calls_equal_full_laws(self, order, ties):
+        # Several b per block length, so every Monte Carlo search but the first
+        # at its block length starts from the previous plan's answer; the
+        # exact ones must not.  The tuple counts stay under the exact cap.
+        n = 30
+        values = substream(46).standard_normal(n)
+        values = np.round(values * 2) if ties else values
+        plans = [BlockPlan(b, ell) for ell in (2, 5, 9) for b in (1, 2, 3, 4)]
+        if order == "descending":
+            plans = plans[::-1]
+        elif order == "shuffled":
+            plans = [plans[i] for i in substream(47).permutation(len(plans))]
+        q_hat = sample_quantile(values, 0.4)
+        for alpha in (0.05, 0.1, 0.5, 0.9, 0.95):
+            rps = [ResamplePlan(plan, 300, 60 + i) for i, plan in enumerate(plans)]
+            expected = [q_hat - bootstrap_quantile_distribution(values, rp, 0.4).quantile(alpha) / np.sqrt(n) for rp in rps]
+            assert list(lower_confidence_bounds(values, rps, 0.4, alpha)) == expected
+            expected = [q_hat - exact_quantile_distribution(values, plan, 0.4).quantile(alpha) / np.sqrt(n) for plan in plans]
+            assert list(lower_confidence_bounds(values, [ResamplePlan(plan, None, 0) for plan in plans], 0.4, alpha)) == expected
+
     def test_bound_pastes_nothing(self, monkeypatch):
         def paste(*args, **kwargs):
             raise AssertionError("lower_confidence_bounds pasted the bootstrap law")

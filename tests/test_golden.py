@@ -6,8 +6,11 @@ one replication loop; only the standard errors of the ``err_mean`` and
 later.  Any change to which random draws an experiment consumes, to the order
 in which it sums, or to the CSV format shows up here.
 The cases are tiny (a few seconds in total) and cover Monte Carlo and exact
-``mse-grid``, ``cdf-mse-grid``, ``coverage-grid``, a ``tune`` run spanning
-three replication chunks, both reference kinds and ``rate-study``.  Each
+``mse-grid``, ``cdf-mse-grid``, ``coverage-grid`` (also with several plans
+per block length, Monte Carlo and exact), a ``tune`` run spanning
+three replication chunks, both reference kinds and ``rate-study``.  The two
+cases with several plans per block length were captured before the
+percentile bound's search started from the previous plan's answer.  Each
 config holds only keys its subcommand reads, so no run warns.
 """
 
@@ -17,6 +20,9 @@ import yaml
 from blockboot.cli import EXPERIMENTS, main
 
 GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
+# Several plans per block length, in mixed b order, so the bound's search runs from the previous plan's answer.
+PLANS = {"cells": [[1, 4], [4, 4], [2, 4], [9, 4], [3, 6], [1, 6], [6, 6], [2, 2], [10, 2], [5, 2]]}
+EXACT_PLANS = {"cells": [[1, 3], [4, 3], [2, 3], [8, 3], [3, 4], [1, 4], [6, 4]]}
 BASE = dict(model="arma11", n=40, x=1.0, grid=GRID, replications=15, bootstrap_samples=25, ref_value=0.7, seed=3)
 
 CASES = {
@@ -26,6 +32,11 @@ CASES = {
     "coverage-grid": (
         "coverage-grid",
         dict(model={"name": "polymix", "nu": 6.0, "n_terms": 20}, n=40, grid=GRID, alpha=0.9, replications=10, bootstrap_samples=60, seed=3),
+    ),
+    "coverage-grid-plans": ("coverage-grid", dict(model="arma11", n=40, grid=PLANS, alpha=0.9, replications=20, bootstrap_samples=60, seed=5)),
+    "coverage-grid-plans-exact": (
+        "coverage-grid",
+        dict(model="arma11", n=24, grid=EXACT_PLANS, alpha=0.9, replications=8, exact=True, seed=5),
     ),
     "tune": (
         "tune",
@@ -60,6 +71,33 @@ GOLDEN = {
             "1,3,coverage,0.9,0.0948683\n"
             "2,4,coverage,0.7,0.144914\n"
             "5,5,coverage,0.9,0.0948683\n"
+        ),
+    },
+    "coverage-grid-plans": {
+        "coverage_grid.csv": (
+            "b,ell,metric,value,stderr\n"
+            "1,4,coverage,0.7,0.10247\n"
+            "4,4,coverage,0.65,0.106654\n"
+            "2,4,coverage,0.65,0.106654\n"
+            "9,4,coverage,0.7,0.10247\n"
+            "3,6,coverage,0.7,0.10247\n"
+            "1,6,coverage,0.65,0.106654\n"
+            "6,6,coverage,0.6,0.109545\n"
+            "2,2,coverage,0.65,0.106654\n"
+            "10,2,coverage,0.65,0.106654\n"
+            "5,2,coverage,0.7,0.10247\n"
+        ),
+    },
+    "coverage-grid-plans-exact": {
+        "coverage_grid.csv": (
+            "b,ell,metric,value,stderr\n"
+            "1,3,coverage,0.75,0.153093\n"
+            "4,3,coverage,0.75,0.153093\n"
+            "2,3,coverage,0.625,0.171163\n"
+            "8,3,coverage,0.75,0.153093\n"
+            "3,4,coverage,0.75,0.153093\n"
+            "1,4,coverage,0.625,0.171163\n"
+            "6,4,coverage,0.75,0.153093\n"
         ),
     },
     "mse-grid": {
