@@ -243,7 +243,9 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
     for key in required:
         if raw.get(key) is None:
             raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
-    read = {*_SHARED, *required, *optional}
+    if "ref_value" in fields and "ref_values" in fields:
+        raise ConfigError("config key 'ref_values' cannot be set together with 'ref_value'")
+    read = {*_SHARED, *required, *optional} - ({"bootstrap_samples"} if fields.get("exact") else set())
     for key in raw:
         if key not in read:
             print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
@@ -330,8 +332,8 @@ def _run_rate(experiment, cfg, raw, out):
 
 
 # Subcommand -> (runner, required keys, other keys read besides _SHARED, extra
-# check).  build_config warns about every other key, which the run does not
-# use but still validates; under reference, the kind adds y or p.
+# check).  build_config warns about every other key, which the run does not use
+# but still validates; the reference kind adds y or p, exact drops bootstrap_samples.
 _COMMANDS = {
     "reference": (_run_reference, ("model", "x"), ("kind", "n", "ref_replications"), _check_reference),
     "mse-grid": (_run_grid, ("model", "x"), ("n", "p", "grid", *_REPLICATED, *_REFERENCE), None),

@@ -1,17 +1,16 @@
 """Bootstrap distribution estimates and percentile confidence bounds over a grid of plans.
 
-A resampled quantile falls below a threshold exactly when the pasted series
-holds at least ``ceil(b*ell*p)`` observations below it, so the point estimates
-and the percentile bound read that tail of the law of a sum of block counts:
-Monte Carlo on the start matrix seeded by ``rp.seed``, agreeing bit for bit
-with the pasting definitions in :mod:`~blockboot.resample`, or exact when
-``rp.n_boot`` is ``None`` (:func:`~blockboot.resample.count_sum_law`, read by
-``_quantile_below``).  The bound finds ``G^{-1}(alpha)`` by a search over the
-sorted observations (``_first_reaching``); nothing is pasted.  On the exact law
-it probes midpoints, as a bisection does.  On tallies, whose tail counts are
-monotone in the threshold, it starts next to the previous plan's answer at the
-same block length and sums block counts only over the replicates that earlier
-probes left undecided.
+Every estimate reads one answer, :func:`~blockboot.resample.count_sum_tail`:
+the weight of {sum of ``b`` block counts >= k}, tallied on the start matrix
+seeded by ``rp.seed`` (bit for bit the pasting definitions) or exact when
+``rp.n_boot`` is ``None``.  The quantile lies at or below a threshold when at
+least ``ceil(b*ell*p)`` values do; at most ``c`` of ``m`` values lie at or
+below ``x`` when at least ``m - floor(c)`` lie above it.  The bound searches
+the sorted observations for ``G^{-1}(alpha)`` (``_first_reaching``) and pastes
+nothing: midpoint probes on the exact law, as a bisection; on tallies, which
+are monotone in the threshold, it starts next to the previous plan's answer at
+the same block length and sums block counts only over the replicates that
+earlier probes left undecided.
 
 Each estimate takes a sequence of plans and returns one value per plan, in
 order: the center and the window counts are computed once per block length
@@ -24,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
-from .resample import ResamplePlan, _check_plan, count_sum_law, window_counts
+from .resample import ResamplePlan, _check_plan, count_sum_tail, window_counts
 from .seeding import substream
 
 __all__ = [
@@ -53,12 +52,6 @@ def _by_block_length(n: int, rps) -> dict:
     return groups
 
 
-def _quantile_below(counts, rp: ResamplePlan, starts, k: int):
-    """Tail weight from ``k = ceil(b*ell*p)`` of the count-sum law of ``counts``, and its total; for counts of ``values <= t``, P*(quantile <= t) = weight / total."""
-    weights, total = count_sum_law(counts, rp.plan, starts)
-    return weights[k:].sum(), total
-
-
 def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
     """For each ``(i, rp)`` of ``cells`` in order, ``i`` and the leftmost ``j < n - 1`` with ``P*(quantile <= ordered[j]) >= alpha``, else ``n - 1``.
 
@@ -84,7 +77,7 @@ def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
             if j not in rows:
                 rows[j] = window_counts(rank <= j, ell)
             if starts is None:
-                hits, total = _quantile_below(rows[j], rp, None, k)
+                hits, total = count_sum_tail(rows[j], rp.plan, None, k)
             else:
                 below = rows[j][starts].sum(axis=0) >= k
                 hits, total = known + np.count_nonzero(below), rp.n_boot
@@ -111,7 +104,7 @@ def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
         scales = np.sqrt([rp.plan.n_blocks * ell for _, rp in cells])
         rows = window_counts(values <= (center + x / scales)[:, None], ell)
         for (i, rp), row in zip(cells, rows):
-            hits, total = _quantile_below(row, rp, _starts(values.size, rp), order_stat_index(rp.plan.total_length, p))
+            hits, total = count_sum_tail(row, rp.plan, _starts(values.size, rp), order_stat_index(rp.plan.total_length, p))
             out[i] = hits / total
     return out
 
@@ -121,17 +114,19 @@ def cdf_deviation_probs(series, rps, x: float, y: float) -> np.ndarray:
 
     That is ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``; with an integer ``n_boot``, entry ``i`` agrees with
     sequential :func:`~blockboot.resample.cdf_statistic` calls on a generator seeded by ``rps[i].seed``.
+    It counts the complement, at least ``m - floor(center*m + y*sqrt(m))`` of the ``m = b*ell`` values above ``x``;
+    a NaN ``y`` raises ``ValueError``.
     """
     values = as_values(series)
-    below = values <= x
     out = np.empty(len(rps))
     for ell, cells in _by_block_length(values.size, rps).items():
         center = block_averaged_cdf(values, ell, x)
-        row = window_counts(below, ell)
+        row = window_counts(values > x, ell)
         for i, rp in cells:
             m = rp.plan.total_length
-            weights, total = count_sum_law(row, rp.plan, _starts(values.size, rp))
-            out[i] = weights[np.arange(weights.size) <= center * m + y * np.sqrt(m)].sum() / total
+            k = int(np.clip(m - np.floor(center * m + y * np.sqrt(m)), 0, m + 1))
+            hits, total = count_sum_tail(row, rp.plan, _starts(values.size, rp), k)
+            out[i] = hits / total
     return out
 
 

@@ -8,11 +8,12 @@ between subsampling (``b = 1``) and the moving block bootstrap
 
 The centered, scaled statistic for one resample is
 
-    ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``,
+    ``sqrt(b*ell) * (quantile(pasted series) - block_averaged_quantile)``;
 
-whose law is that of a sum of ``b`` i.i.d. window counts (:func:`count_sum_law`);
-every estimate reads that kernel, and the functions that paste blocks are the
-definitions it is tested against.
+the resampled quantile is at most a threshold exactly when the ``b`` block
+counts of values at or below it (:func:`window_counts`) sum to ``ceil(b*ell*p)``
+or more.  Every estimate reads that one answer, :func:`count_sum_tail`; the
+functions that paste blocks are the definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "quantile_statistic",
     "cdf_statistic",
     "window_counts",
-    "count_sum_law",
+    "count_sum_tail",
     "bootstrap_quantile_distribution",
     "exact_quantile_distribution",
 ]
@@ -187,21 +188,22 @@ def window_counts(indicator, ell: int) -> np.ndarray:
     return cum[..., ell:] - cum[..., :-ell]
 
 
-def count_sum_law(counts, plan: BlockPlan, starts) -> tuple[np.ndarray, int]:
-    """Weights over ``0..b*ell`` of the sum of the :func:`window_counts` row ``counts`` at ``plan``'s ``b`` block starts, and their total.
+def count_sum_tail(counts, plan: BlockPlan, starts, k: int) -> tuple:
+    """Weight of {sum of the :func:`window_counts` row ``counts`` at ``plan``'s ``b`` block starts ``>= k``}, and its total.
 
-    Monte Carlo: integer tallies over the columns (one replicate's block starts each) of the ``(b, n_boot)`` matrix ``starts``, total ``n_boot``.
-    Exact (``starts=None``): the ``b``-fold convolution of the window-count pmf by binary powering, total 1.
+    Monte Carlo: the number of columns (one replicate's block starts each) of the ``(b, n_boot)`` matrix ``starts``
+    whose sum reaches ``k``, total ``n_boot``.  Exact (``starts=None``): the tail from ``k`` of the ``b``-fold
+    convolution of the window-count pmf, by binary powering, total 1.
     """
-    b, ell = plan.n_blocks, plan.block_length
     if starts is not None:
-        return np.bincount(counts[starts].sum(axis=0), minlength=b * ell + 1), starts.shape[1]
+        return np.count_nonzero(counts[starts].sum(axis=0) >= k), starts.shape[1]
+    b, ell = plan.n_blocks, plan.block_length
     law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
     while b:
         law = np.convolve(law, power) if b & 1 else law
         b >>= 1
         power = np.convolve(power, power) if b else power
-    return law, 1
+    return law[k:].sum(), 1
 
 
 def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> EmpiricalDistribution:
@@ -230,7 +232,7 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalD
     """Exact conditional distribution of the quantile statistic.
 
     The resampled quantile is always an observation.  The multiplicities are
-    the probabilities :func:`count_sum_law` gives of it being ``<= v`` at each
+    the probabilities :func:`count_sum_tail` gives of it being ``<= v`` at each
     distinct observation ``v``, times the ``(n - ell + 1) ** b`` start tuples, rounded.
 
     Raises
@@ -246,7 +248,7 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalD
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     atoms = np.unique(values)
-    below = np.array([count_sum_law(row, plan, None)[0][k:].sum() for row in window_counts(values <= atoms[:, None], ell)])
+    below = np.array([count_sum_tail(row, plan, None, k)[0] for row in window_counts(values <= atoms[:, None], ell)])
     counts = np.diff(np.rint(below * total).astype(np.int64), prepend=0)
     keep = counts > 0
     return EmpiricalDistribution(values=np.sqrt(b * ell) * (atoms[keep] - center), counts=counts[keep], total=total)

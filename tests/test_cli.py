@@ -58,6 +58,14 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["mse-grid", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("text, message", [("model: [arma11\n", "not valid YAML"), ("- model\n- x\n", "must hold a mapping")])
+    def test_config_file_not_yaml_mapping(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert main(["mse-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_y_for_cdf(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries())
         assert main(["cdf-mse-grid", "--config", cfg]) == 2
@@ -94,6 +102,10 @@ MALFORMED = {
     "alpha at one": ("coverage-grid", dict(alpha=1.0), "'alpha'"),
     "workers zero": ("mse-grid", dict(workers=0), "'workers'"),
     "replications zero": ("mse-grid", dict(replications=0), "'replications'"),
+    "replications not an integer": ("mse-grid", dict(replications=2.5), "'replications'"),
+    "grid empty at n": ("mse-grid", dict(grid={"ell": [50, 60]}), "'grid' is invalid at n=40: grid is empty"),
+    "grid over the cell limit": ("mse-grid", dict(n=2_000_000, grid={"b": [1, 2_000_000], "ell": [1, 1]}), "'grid' is invalid at n=2000000: grid holds more than"),
+    "ref_value together with ref_values": ("mse-grid", dict(ref_values={40: 0.7}), "'ref_values'"),
     "ref_values key not a size": ("mse-grid", dict(ref_values={"abc": 1}), "'ref_values'"),
     "exact given as a string": ("mse-grid", dict(exact="false"), "'exact'"),
     "rho zero": ("tune", dict(TUNE, c1_grid=[1.0], rho=0), "'rho'"),
@@ -166,6 +178,7 @@ REFERENCE = dict(replications=None, ref_value=None, bootstrap_samples=None, grid
 # (subcommand, config entries over tiny_entries(), keys the run does not read)
 UNREAD = {
     "mse-grid": ("mse-grid", dict(c1_grid=[1.0], alpha=0.9, n_list=[30, 60, 90], y=0.5), ["c1_grid", "alpha", "n_list", "y"]),
+    "mse-grid exact": ("mse-grid", dict(exact=True), ["bootstrap_samples"]),
     "reference": ("reference", dict(REFERENCE, grid=TINY_GRID), ["grid"]),
     "reference y under kind quantile": ("reference", dict(REFERENCE, kind="quantile", y=0.5), ["y"]),
     "reference p under kind cdf": ("reference", dict(REFERENCE, kind="cdf", y=0.5, p=0.3), ["p"]),

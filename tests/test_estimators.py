@@ -145,6 +145,16 @@ class TestGridCalls:
             lower_confidence_bounds(values, self.grid(10), 0.5, 1.0)
 
 
+    @pytest.mark.parametrize("n_boot", [10, None])
+    def test_cdf_point_extremes(self, n_boot):
+        values = substream(64).standard_normal(self.N)
+        rps = self.grid(n_boot)
+        np.testing.assert_allclose(cdf_deviation_probs(values, rps, 0.0, math.inf), 1.0, atol=1e-15)
+        assert list(cdf_deviation_probs(values, rps, 0.0, -math.inf)) == [0.0] * len(rps)
+        with pytest.raises(ValueError):
+            cdf_deviation_probs(values, rps, 0.0, math.nan)
+
+
 def brute_force_prob(values, b, ell, event):
     """Share of all start tuples whose pasted series (a plain list) satisfies ``event``."""
     tuples = list(itertools.product(range(len(values) - ell + 1), repeat=b))

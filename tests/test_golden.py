@@ -27,7 +27,7 @@ BASE = dict(model="arma11", n=40, x=1.0, grid=GRID, replications=15, bootstrap_s
 
 CASES = {
     "mse-grid": ("mse-grid", BASE),
-    "mse-grid-exact": ("mse-grid", dict(BASE, n=12, grid={"cells": [[2, 2], [1, 3]]}, replications=6, exact=True, ref_value=0.6)),
+    "mse-grid-exact": ("mse-grid", dict(model="arma11", n=12, x=1.0, grid={"cells": [[2, 2], [1, 3]]}, replications=6, exact=True, ref_value=0.6, seed=3)),
     "cdf-mse-grid": ("cdf-mse-grid", dict(BASE, x=0.0, y=0.9, ref_value=0.85)),
     "coverage-grid": (
         "coverage-grid",

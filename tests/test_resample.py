@@ -14,6 +14,7 @@ from blockboot.resample import (
     ResourceLimitError,
     bootstrap_quantile_distribution,
     cdf_statistic,
+    count_sum_tail,
     draw_block_starts,
     exact_quantile_distribution,
     paste_blocks,
@@ -166,6 +167,18 @@ class TestEmpiricalDistribution:
             EmpiricalDistribution(values=np.array([0.0, 1.0]), counts=np.array([1, 2]), total=2)
         with pytest.raises(ValueError):
             EmpiricalDistribution(values=np.array([]), counts=np.array([]), total=0)
+
+
+class TestCountSumTail:
+    def test_tally_and_exact_tail_match_enumeration(self):
+        counts = np.array([0, 2, 1, 3, 1])  # window counts of a length-7 series at ell = 3
+        plan = BlockPlan(2, 3)
+        starts = np.array(list(itertools.product(range(counts.size), repeat=2))).T  # every start pair once
+        for k in range(plan.total_length + 2):
+            expected = sum(counts[i] + counts[j] >= k for i, j in starts.T)
+            assert count_sum_tail(counts, plan, starts, k) == (expected, 25)
+            weight, total = count_sum_tail(counts, plan, None, k)
+            assert total == 1 and weight == pytest.approx(expected / 25, abs=1e-15)
 
 
 class TestExactDistribution:
