@@ -144,7 +144,6 @@ class TestGridCalls:
         with pytest.raises(ValueError):
             lower_confidence_bounds(values, self.grid(10), 0.5, 1.0)
 
-
     @pytest.mark.parametrize("n_boot", [10, None])
     def test_cdf_point_extremes(self, n_boot):
         values = substream(64).standard_normal(self.N)

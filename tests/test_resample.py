@@ -19,6 +19,7 @@ from blockboot.resample import (
     exact_quantile_distribution,
     paste_blocks,
     quantile_statistic,
+    window_counts,
 )
 from blockboot.seeding import substream
 
@@ -171,7 +172,7 @@ class TestEmpiricalDistribution:
 
 class TestCountSumTail:
     def test_tally_and_exact_tail_match_enumeration(self):
-        counts = np.array([0, 2, 1, 3, 1])  # window counts of a length-7 series at ell = 3
+        counts = window_counts(np.array([1, 0, 0, 1, 1, 1, 0]), 3)  # [1, 1, 2, 3, 2]
         plan = BlockPlan(2, 3)
         starts = np.array(list(itertools.product(range(counts.size), repeat=2))).T  # every start pair once
         for k in range(plan.total_length + 2):
