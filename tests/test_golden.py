@@ -7,8 +7,9 @@ later.  Any change to which random draws an experiment consumes, to the order
 in which it sums, or to the CSV format shows up here.
 The cases are tiny (a few seconds in total) and cover Monte Carlo and exact
 ``mse-grid``, ``cdf-mse-grid``, ``coverage-grid`` (also with several plans
-per block length, Monte Carlo and exact), a ``tune`` run spanning
-three replication chunks, both reference kinds and ``rate-study``.  The two
+per block length, Monte Carlo and exact), a Monte Carlo ``tune`` run spanning
+three replication chunks and an exact one spanning two, both reference kinds
+and ``rate-study``.  The two
 cases with several plans per block length were captured before the
 percentile bound's search started from the previous plan's answer.  Each
 config holds only keys its subcommand reads, so no run warns.
@@ -29,6 +30,10 @@ CASES = {
     "mse-grid": ("mse-grid", BASE),
     "mse-grid-exact": ("mse-grid", dict(model="arma11", n=12, x=1.0, grid={"cells": [[2, 2], [1, 3]]}, replications=6, exact=True, ref_value=0.6, seed=3)),
     "cdf-mse-grid": ("cdf-mse-grid", dict(BASE, x=0.0, y=0.9, ref_value=0.85)),
+    "cdf-mse-grid-exact": (
+        "cdf-mse-grid",
+        dict(model="arma11", n=12, x=0.0, y=0.4, grid={"cells": [[2, 2], [1, 3], [3, 4]]}, replications=6, exact=True, ref_value=0.65, seed=3),
+    ),
     "coverage-grid": (
         "coverage-grid",
         dict(model={"name": "polymix", "nu": 6.0, "n_terms": 20}, n=40, grid=GRID, alpha=0.9, replications=10, bootstrap_samples=60, seed=3),
@@ -42,6 +47,13 @@ CASES = {
         "tune",
         dict(
             model="arma11", n=64, x=1.0, replications=70, bootstrap_samples=20, c1_grid=[0.5, 1.0], c2_grid=[0.5, 1.0], subsample_len=27,
+            subsample_count=3, ref_value=0.75, seed=3,
+        ),
+    ),
+    "tune-exact": (
+        "tune",
+        dict(
+            model="arma11", n=64, x=1.0, replications=40, exact=True, c1_grid=[0.5, 1.0], c2_grid=[0.5, 1.0], subsample_len=27,
             subsample_count=3, ref_value=0.75, seed=3,
         ),
     ),
@@ -63,6 +75,14 @@ GOLDEN = {
             "1,3,mse,0.0204733,0.0026846\n"
             "2,4,mse,0.00895333,0.00184053\n"
             "5,5,mse,0.01018,0.00221933\n"
+        ),
+    },
+    "cdf-mse-grid-exact": {
+        "cdf_mse_grid.csv": (
+            "b,ell,metric,value,stderr\n"
+            "2,2,mse,0.0362866,0.0167428\n"
+            "1,3,mse,0.0325,0.0168325\n"
+            "3,4,mse,0.0568714,0.0177159\n"
         ),
     },
     "coverage-grid": {
@@ -177,6 +197,31 @@ GOLDEN = {
             "1,1,4,4,err_mean,0.028369,0.00295154\n"
             "1,1,4,4,selected_frac,0.171429,0.0450461\n"
             ",,,,adaptive_mse,0.0101786,0.00146413\n"
+        ),
+    },
+    "tune-exact": {
+        "tune_err_grid.csv": (
+            "c1,c2,b_n,ell_n,err\n"
+            "0.5,0.5,2,2,0.00991521\n"
+            "0.5,1,2,4,0.0145795\n"
+            "1,0.5,4,2,0.00924295\n"
+            "1,1,4,4,0.014317\n"
+        ),
+        "tune_study.csv": (
+            "c1,c2,b,ell,metric,value,stderr\n"
+            "0.5,0.5,2,2,mse,0.0134171,0.00131403\n"
+            "0.5,0.5,2,2,err_mean,0.00991521,0.000964691\n"
+            "0.5,0.5,2,2,selected_frac,0.275,0.0706001\n"
+            "0.5,1,2,4,mse,0.0065618,0.00118822\n"
+            "0.5,1,2,4,err_mean,0.0145795,0.00155699\n"
+            "0.5,1,2,4,selected_frac,0.125,0.0522913\n"
+            "1,0.5,4,2,mse,0.00890992,0.00143662\n"
+            "1,0.5,4,2,err_mean,0.00924295,0.00120843\n"
+            "1,0.5,4,2,selected_frac,0.375,0.0765466\n"
+            "1,1,4,4,mse,0.00628699,0.00132508\n"
+            "1,1,4,4,err_mean,0.014317,0.00223768\n"
+            "1,1,4,4,selected_frac,0.225,0.0660256\n"
+            ",,,,adaptive_mse,0.0071701,0.00125911\n"
         ),
     },
 }
