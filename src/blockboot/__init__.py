@@ -42,7 +42,7 @@ from .resample import (
     paste_blocks,
     quantile_statistic,
 )
-from .seeding import float_key, subseed, substream
+from .seeding import subseed, substream
 from .tuning import (
     NoFeasiblePlanError,
     SelectionResult,
@@ -74,7 +74,6 @@ __all__ = [
     "draw_block_starts",
     "empirical_cdf",
     "exact_quantile_distribution",
-    "float_key",
     "model_from_name",
     "order_stat_index",
     "paste_blocks",

@@ -245,11 +245,17 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
             raise ConfigError(f"missing required config key: {key!r} (needed by {experiment})")
     if "ref_value" in fields and "ref_values" in fields:
         raise ConfigError("config key 'ref_values' cannot be set together with 'ref_value'")
-    read = {*_SHARED, *required, *optional} - ({"bootstrap_samples"} if fields.get("exact") else set())
+    # Exact runs draw no bootstrap sample, and a given reference is not simulated.
+    unread = {"bootstrap_samples": fields.get("exact"), "ref_replications": {"ref_value", "ref_values"} & fields.keys()}
+    read = {*_SHARED, *required, *optional} - {key for key, skipped in unread.items() if skipped}
     for key in raw:
         if key not in read:
             print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
     cfg = harness.ExperimentConfig(**fields)
+    if "ref_values" in fields and "ref_values" in read:
+        missing = sorted(set(cfg.n_list if "n_list" in required else (cfg.n,)) - {n for n, _ in cfg.ref_values})
+        if missing:
+            raise ConfigError(f"config key 'ref_values' has no entry for the sample size(s) {missing}")
     for n in (cfg.n, *cfg.n_list):
         try:
             cfg.grid.plans(n)
@@ -333,7 +339,8 @@ def _run_rate(experiment, cfg, raw, out):
 
 # Subcommand -> (runner, required keys, other keys read besides _SHARED, extra
 # check).  build_config warns about every other key, which the run does not use
-# but still validates; the reference kind adds y or p, exact drops bootstrap_samples.
+# but still validates; the reference kind adds y or p, exact drops
+# bootstrap_samples, and a given reference drops ref_replications.
 _COMMANDS = {
     "reference": (_run_reference, ("model", "x"), ("kind", "n", "ref_replications"), _check_reference),
     "mse-grid": (_run_grid, ("model", "x"), ("n", "p", "grid", *_REPLICATED, *_REFERENCE), None),

@@ -1,21 +1,19 @@
 """Bootstrap distribution estimates and percentile confidence bounds over a grid of plans.
 
 Every estimate reads one answer, :func:`~blockboot.resample.count_sum_tail`:
-the weight of {sum of ``b`` block counts >= k}, tallied on the start matrix
-seeded by ``rp.seed`` (bit for bit the pasting definitions) or exact when
-``rp.n_boot`` is ``None``.  The quantile lies at or below a threshold when at
-least ``ceil(b*ell*p)`` values do; at most ``c`` of ``m`` values lie at or
-below ``x`` when at least ``m - floor(c)`` lie above it.  The bound searches
-the sorted observations for ``G^{-1}(alpha)`` (``_first_reaching``) and pastes
-nothing: midpoint probes on the exact law, as a bisection; on tallies, which
-are monotone in the threshold, it starts next to the previous plan's answer at
-the same block length and sums block counts only over the replicates that
-earlier probes left undecided.
+the exact probability ``G`` that ``b`` block counts sum to ``k`` or more.  The
+quantile lies at or below a threshold when at least ``ceil(b*ell*p)`` values
+do; at most ``c`` of ``m`` values lie at or below ``x`` when at least
+``m - floor(c)`` lie above it.  Given the series, ``B`` Monte Carlo replicates
+count ``Binomial(B, G)`` hits, so a point estimate draws that count, in plan
+order, from the generator its caller passes.  The bound searches the sorted
+observations for ``G^{-1}(alpha)`` (``_first_reaching``) and pastes nothing:
+it bisects the exact law; on the tallies of the start matrix seeded by
+``rp.seed`` (bit for bit the pasting definition) it starts next to the
+previous plan's answer and sums block counts only over undecided replicates.
 
-Each estimate takes a sequence of plans and returns one value per plan, in
-order: the center and the window counts are computed once per block length
-(the bound's once per block length and probed threshold), each plan draws
-from its own seed, and the singular functions are one-plan calls.
+A grid call returns one value per plan, in order, with the center and window
+counts computed once per block length; the singular functions are one-plan calls.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ __all__ = [
 
 
 def _starts(n: int, rp: ResamplePlan):
-    """Start matrix of ``rp``, ``(b, n_boot)`` C-contiguous so the kernel sums gathers over rows; ``None`` when exact.
+    """Start matrix of ``rp``, ``(b, n_boot)`` C-contiguous so the bound's tallies sum gathers over rows; ``None`` when exact.
 
     Drawn as ``(n_boot, b)``: column ``j`` holds the draws of the ``j``-th of ``n_boot`` ``draw_block_starts`` calls.
     """
@@ -44,12 +42,23 @@ def _starts(n: int, rp: ResamplePlan):
         return np.ascontiguousarray(substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks)).T)
 
 
-def _by_block_length(n: int, rps) -> dict:
-    """``{ell: [(index, rp), ...]}`` over ``rps`` in order, every plan checked against ``n``."""
+def _by_block_length(n: int, plans) -> dict:
+    """``{ell: [(index, plan), ...]}`` over ``plans`` in order, every plan checked against ``n``."""
     groups: dict = {}
-    for i, rp in enumerate(rps):
-        groups.setdefault(_check_plan(n, rp.plan)[1], []).append((i, rp))
+    for i, plan in enumerate(plans):
+        groups.setdefault(_check_plan(n, plan)[1], []).append((i, plan))
     return groups
+
+
+def _monte_carlo(weights, n_boot, rng) -> np.ndarray:
+    """``weights`` when exact (``n_boot=None``); else ``Binomial(n_boot, G) / n_boot`` per weight, in order, from ``rng``."""
+    # Clip only the binomial's argument: a tail sum may exceed 1 in the last bit, and exact values must not move.
+    return weights if n_boot is None else rng.binomial(n_boot, np.clip(weights, 0.0, 1.0)) / n_boot
+
+
+def _rng(rp: ResamplePlan):
+    """Generator seeded by ``rp.seed``; none for the exact law."""
+    return None if rp.n_boot is None else substream(rp.seed)
 
 
 def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
@@ -77,7 +86,7 @@ def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
             if j not in rows:
                 rows[j] = window_counts(rank <= j, ell)
             if starts is None:
-                hits, total = count_sum_tail(rows[j], rp.plan, None, k)
+                hits, total = count_sum_tail(rows[j], rp.plan, k), 1
             else:
                 below = rows[j][starts].sum(axis=0) >= k
                 hits, total = known + np.count_nonzero(below), rp.n_boot
@@ -92,42 +101,40 @@ def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
         yield i, lo
 
 
-def quantile_deviation_probs(series, rps, p: float, x: float) -> np.ndarray:
-    """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``rps``.
+def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | None = None, rng=None) -> np.ndarray:
+    """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``plans``.
 
-    Entry ``i`` agrees with ``bootstrap_quantile_distribution(series, rps[i], p).cdf(x)`` for the same seed.
+    Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around the exact ``G`` of each plan, drawn in
+    plan order from ``rng``: the law of ``bootstrap_quantile_distribution(...).cdf(x)`` at ``n_boot`` replicates.
     """
     values = as_values(series)
-    out = np.empty(len(rps))
-    for ell, cells in _by_block_length(values.size, rps).items():
+    out = np.empty(len(plans))
+    for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_quantile(values, ell, p)
-        scales = np.sqrt([rp.plan.n_blocks * ell for _, rp in cells])
+        scales = np.sqrt([plan.n_blocks * ell for _, plan in cells])
         rows = window_counts(values <= (center + x / scales)[:, None], ell)
-        for (i, rp), row in zip(cells, rows):
-            hits, total = count_sum_tail(row, rp.plan, _starts(values.size, rp), order_stat_index(rp.plan.total_length, p))
-            out[i] = hits / total
-    return out
+        for (i, plan), row in zip(cells, rows):
+            out[i] = count_sum_tail(row, plan, order_stat_index(plan.total_length, p))
+    return _monte_carlo(out, n_boot, rng)
 
 
-def cdf_deviation_probs(series, rps, x: float, y: float) -> np.ndarray:
-    """Bootstrap probabilities that the scaled resampled-CDF deviation at ``x`` is ``<= y``, one per plan of ``rps``.
+def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = None, rng=None) -> np.ndarray:
+    """Bootstrap probabilities that the scaled resampled-CDF deviation at ``x`` is ``<= y``, one per plan of ``plans``.
 
-    That is ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``; with an integer ``n_boot``, entry ``i`` agrees with
-    sequential :func:`~blockboot.resample.cdf_statistic` calls on a generator seeded by ``rps[i].seed``.
+    That is ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``, exact or drawn as in :func:`quantile_deviation_probs`: the law
+    of the share of ``n_boot`` sequential :func:`~blockboot.resample.cdf_statistic` calls at or below ``y``.
     It counts the complement, at least ``m - floor(center*m + y*sqrt(m))`` of the ``m = b*ell`` values above ``x``;
     a NaN ``y`` raises ``ValueError``.
     """
     values = as_values(series)
-    out = np.empty(len(rps))
-    for ell, cells in _by_block_length(values.size, rps).items():
+    out = np.empty(len(plans))
+    for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_cdf(values, ell, x)
         row = window_counts(values > x, ell)
-        for i, rp in cells:
-            m = rp.plan.total_length
-            k = int(np.clip(m - np.floor(center * m + y * np.sqrt(m)), 0, m + 1))
-            hits, total = count_sum_tail(row, rp.plan, _starts(values.size, rp), k)
-            out[i] = hits / total
-    return out
+        for i, plan in cells:
+            m = plan.total_length
+            out[i] = count_sum_tail(row, plan, int(np.clip(m - np.floor(center * m + y * np.sqrt(m)), 0, m + 1)))
+    return _monte_carlo(out, n_boot, rng)
 
 
 def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
@@ -147,18 +154,18 @@ def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
     rank = np.searchsorted(ordered, values)  # values <= ordered[j] exactly when rank <= j
     q_hat = sample_quantile(values, p)
     out = np.empty(len(rps))
-    for ell, cells in _by_block_length(values.size, rps).items():
+    for ell, cells in _by_block_length(values.size, [rp.plan for rp in rps]).items():
         center = block_averaged_quantile(values, ell, p)
-        for i, g in _first_reaching(rank, ell, cells, p, alpha):
+        for i, g in _first_reaching(rank, ell, [(i, rps[i]) for i, _ in cells], p, alpha):
             out[i] = q_hat - np.sqrt(rps[i].plan.total_length) * (ordered[g] - center) / np.sqrt(values.size)
     return out
 
 
 def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> float:
     """Bootstrap probability that the scaled quantile deviation is ``<= x``: :func:`quantile_deviation_probs` for one plan."""
-    return float(quantile_deviation_probs(series, (rp,), p, x)[0])
+    return float(quantile_deviation_probs(series, (rp.plan,), p, x, rp.n_boot, _rng(rp))[0])
 
 
 def cdf_deviation_prob(series, rp: ResamplePlan, x: float, y: float) -> float:
     """Bootstrap probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``: :func:`cdf_deviation_probs` for one plan."""
-    return float(cdf_deviation_probs(series, (rp,), x, y)[0])
+    return float(cdf_deviation_probs(series, (rp.plan,), x, y, rp.n_boot, _rng(rp))[0])

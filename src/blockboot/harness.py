@@ -5,10 +5,10 @@ series, evaluate a bootstrap estimator on each over a grid of block plans
 (one :mod:`~blockboot.estimators` call per series), and aggregate per-cell
 metrics against a reference value obtained from a separate massive
 simulation.  The three surfaces (MSE, CDF MSE, coverage) share one driver
-and differ only in the per-replication quantity.  Seeding is hierarchical;
-the substream of each (cell, replication) pair is derived from the master
-seed alone, so results are bit-identical for any worker count and any
-scheduling order.
+and differ only in the per-replication quantity.  Seeding is hierarchical:
+each replication's series, the one generator its point estimates draw from
+in plan order and the seed of each of its bounds derive from the master seed,
+the replication and the cell alone: bit-identical for any worker count.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the
@@ -68,6 +68,7 @@ _TAG_REFERENCE = 0
 _TAG_SERIES = 1
 _TAG_BOOT = 2
 _TAG_TUNE = 3
+_TAG_POINT = 4
 
 _REP_CHUNK = 32
 _REF_CHUNK = 10_000
@@ -80,7 +81,7 @@ def replication_seed(master_seed: int, rep: int) -> int:
 
 
 def cell_seed(master_seed: int, cell_index: int, rep: int) -> int:
-    """Sub-seed of the bootstrap draws for one grid cell in one replication."""
+    """Sub-seed of the percentile bound's block-start draws for one grid cell in one replication."""
     return subseed(master_seed, _TAG_BOOT, cell_index, rep)
 
 
@@ -357,22 +358,24 @@ def _squared_errors(estimates, g_ref):
     return d2, d2 * d2
 
 
-def _resample_plans(cfg, plans, rep):
-    """Per-cell resample plans of replication ``rep``; exact laws (``n_boot=None``), which read no seed, when ``cfg.exact``."""
-    return [ResamplePlan(plan, None, 0) if cfg.exact else ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
+def _point_draws(cfg, rep) -> tuple:
+    """``(n_boot, rng)`` of replication ``rep``'s point estimates, one generator for all cells; ``(None, None)`` when ``cfg.exact``."""
+    return (None, None) if cfg.exact else (cfg.n_boot, substream(cfg.master_seed, _TAG_POINT, rep))
 
 
 def _mse_rep(cfg, series, rep, plans, g_ref):
-    return _squared_errors(quantile_deviation_probs(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.x), g_ref)
+    return _squared_errors(quantile_deviation_probs(series, plans, cfg.p, cfg.x, *_point_draws(cfg, rep)), g_ref)
 
 
 def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
-    return _squared_errors(cdf_deviation_probs(series, _resample_plans(cfg, plans, rep), cfg.x, cfg.y), g_ref)
+    return _squared_errors(cdf_deviation_probs(series, plans, cfg.x, cfg.y, *_point_draws(cfg, rep)), g_ref)
 
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
+    # Each cell's bound draws its block starts from its own seed; exact laws (n_boot=None) read none.
+    rps = [ResamplePlan(plan, None, 0) if cfg.exact else ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
     # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
-    hits = (q_true >= lower_confidence_bounds(series, _resample_plans(cfg, plans, rep), cfg.p, cfg.alpha)).astype(np.int64)
+    hits = (q_true >= lower_confidence_bounds(series, rps, cfg.p, cfg.alpha)).astype(np.int64)
     return hits, hits
 
 

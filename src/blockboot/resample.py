@@ -12,8 +12,11 @@ The centered, scaled statistic for one resample is
 
 the resampled quantile is at most a threshold exactly when the ``b`` block
 counts of values at or below it (:func:`window_counts`) sum to ``ceil(b*ell*p)``
-or more.  Every estimate reads that one answer, :func:`count_sum_tail`; the
-functions that paste blocks are the definitions it is tested against.
+or more.  Every estimate reads that one answer, :func:`count_sum_tail`, the
+exact probability of that event given the series; a Monte Carlo point
+estimate draws its count of hits from it as a binomial.  The functions that
+paste blocks are the definitions it is tested against, bit for bit for the
+percentile bound and in law for the point estimates.
 """
 
 from __future__ import annotations
@@ -188,22 +191,18 @@ def window_counts(indicator, ell: int) -> np.ndarray:
     return cum[..., ell:] - cum[..., :-ell]
 
 
-def count_sum_tail(counts, plan: BlockPlan, starts, k: int) -> tuple:
-    """Weight of {sum of the :func:`window_counts` row ``counts`` at ``plan``'s ``b`` block starts ``>= k``}, and its total.
+def count_sum_tail(counts, plan: BlockPlan, k: int) -> float:
+    """Probability that the :func:`window_counts` row ``counts`` summed at ``plan``'s ``b`` uniform block starts is ``>= k``.
 
-    Monte Carlo: the number of columns (one replicate's block starts each) of the ``(b, n_boot)`` matrix ``starts``
-    whose sum reaches ``k``, total ``n_boot``.  Exact (``starts=None``): the tail from ``k`` of the ``b``-fold
-    convolution of the window-count pmf, by binary powering, total 1.
+    The tail from ``k`` of the ``b``-fold convolution of the window-count pmf, by binary powering.
     """
-    if starts is not None:
-        return np.count_nonzero(counts[starts].sum(axis=0) >= k), starts.shape[1]
     b, ell = plan.n_blocks, plan.block_length
     law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
     while b:
         law = np.convolve(law, power) if b & 1 else law
         b >>= 1
         power = np.convolve(power, power) if b else power
-    return law[k:].sum(), 1
+    return law[k:].sum()
 
 
 def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> EmpiricalDistribution:
@@ -248,7 +247,7 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalD
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     atoms = np.unique(values)
-    below = np.array([count_sum_tail(row, plan, None, k)[0] for row in window_counts(values <= atoms[:, None], ell)])
+    below = np.array([count_sum_tail(row, plan, k) for row in window_counts(values <= atoms[:, None], ell)])
     counts = np.diff(np.rint(below * total).astype(np.int64), prepend=0)
     keep = counts > 0
     return EmpiricalDistribution(values=np.sqrt(b * ell) * (atoms[keep] - center), counts=counts[keep], total=total)

@@ -46,8 +46,3 @@ def subseed(master_seed: int, *keys: int) -> int:
     """Derive a 64-bit sub-seed by the same fixed mixing as :func:`substream`."""
     ss = np.random.SeedSequence(_entropy(master_seed, keys))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def float_key(x: float) -> int:
-    """Stable integer key for a float (its IEEE-754 bit pattern)."""
-    return int(np.float64(x).view(np.uint64))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .empirical import as_values, guarded_floor
 from .estimators import quantile_deviation_probs
-from .resample import BlockPlan, ResamplePlan
-from .seeding import float_key, subseed
+from .resample import BlockPlan
+from .seeding import substream
 
 __all__ = [
     "TuneConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "plan_from_constants",
     "default_subsample_len",
     "subsample_starts",
-    "tuning_subseed",
     "grid_diagnostics",
     "select_plan",
 ]
@@ -57,8 +56,8 @@ class TuneConfig:
     n_boot : int or None
         Bootstrap replicates per CDF evaluation (full sample and subsamples), or ``None`` for the exact law.
     seed : int
-        Master seed; every evaluation derives an independent substream from
-        it, keyed by the candidate constants and the subsample window.
+        Master seed.  Each window's estimates draw in cell order from one generator keyed by it and the
+        window's start and length, so the full series and a subsample covering it draw alike; exact derives none.
     subsample_len : int or None
         Subsample length ``M``; defaults to ``max(32, n // 8)``.
     subsample_count : int
@@ -144,21 +143,11 @@ def subsample_starts(n: int, subsample_len: int, count: int) -> np.ndarray:
     return starts[np.sort(first)]
 
 
-def tuning_subseed(seed: int, c1: float, c2: float, start: int, length: int) -> int:
-    """Sub-seed of one CDF evaluation, keyed by candidate constants and window.
-
-    Keying by the window rather than by subsample ordinal makes the
-    full-sample evaluation and a subsample covering the whole series share a
-    stream, so their estimates coincide exactly.
-    """
-    return subseed(seed, _TUNE_TAG, float_key(c1), float_key(c2), start, length)
-
-
 def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     """Tuning diagnostics for every cell of the candidate grid.
 
     One :func:`~blockboot.estimators.quantile_deviation_probs` call covers the feasible cells on the full
-    series, and one each subsample window; the exact law reads no seed, so none is derived.  Cells whose
+    series, and one each subsample window, drawing from that window's generator (``TuneConfig.seed``).  Cells whose
     plan is degenerate at either sample size carry ``nan`` error and a ``None`` plan; the row order is
     ``c1`` outer, ``c2`` inner.
     """
@@ -172,8 +161,8 @@ def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
             feasible[i] = {n: plan_from_constants(n, c1, c2), m: plan_from_constants(m, c1, c2)}
 
     def estimates(window, start):
-        rps = [ResamplePlan(plans[window.size], cfg.n_boot, 0 if cfg.n_boot is None else tuning_subseed(cfg.seed, *cells[i], start, window.size)) for i, plans in feasible.items()]
-        return quantile_deviation_probs(window, rps, cfg.p, cfg.x).tolist()
+        rng = None if cfg.n_boot is None else substream(cfg.seed, _TUNE_TAG, start, window.size)
+        return quantile_deviation_probs(window, [plans[window.size] for plans in feasible.values()], cfg.p, cfg.x, cfg.n_boot, rng).tolist()
 
     g_full = estimates(values, 0)
     deviations = [[] for _ in feasible]

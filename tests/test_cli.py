@@ -107,6 +107,8 @@ MALFORMED = {
     "grid over the cell limit": ("mse-grid", dict(n=2_000_000, grid={"b": [1, 2_000_000], "ell": [1, 1]}), "'grid' is invalid at n=2000000: grid holds more than"),
     "ref_value together with ref_values": ("mse-grid", dict(ref_values={40: 0.7}), "'ref_values'"),
     "ref_values key not a size": ("mse-grid", dict(ref_values={"abc": 1}), "'ref_values'"),
+    "ref_values without the run's n": ("mse-grid", dict(ref_value=None, ref_values={50: 0.7}), "'ref_values' has no entry for the sample size(s) [40]"),
+    "ref_values missing an n_list size": ("rate-study", dict(n_list=[30, 60, 90], ref_value=None, ref_values={30: 0.7, 90: 0.7}), "'ref_values' has no entry for the sample size(s) [60]"),
     "exact given as a string": ("mse-grid", dict(exact="false"), "'exact'"),
     "rho zero": ("tune", dict(TUNE, c1_grid=[1.0], rho=0), "'rho'"),
     "c1_grid not a list": ("tune", dict(TUNE, c1_grid=5), "'c1_grid'"),
@@ -179,6 +181,10 @@ REFERENCE = dict(replications=None, ref_value=None, bootstrap_samples=None, grid
 UNREAD = {
     "mse-grid": ("mse-grid", dict(c1_grid=[1.0], alpha=0.9, n_list=[30, 60, 90], y=0.5), ["c1_grid", "alpha", "n_list", "y"]),
     "mse-grid exact": ("mse-grid", dict(exact=True), ["bootstrap_samples"]),
+    "ref_replications beside ref_value": ("mse-grid", dict(ref_replications=500), ["ref_replications"]),
+    "ref_replications beside complete ref_values": (
+        "rate-study", dict(n_list=[30, 60, 90], replications=2, ref_value=None, ref_values={30: 0.7, 60: 0.7, 90: 0.7}, ref_replications=500), ["n", "ref_replications"],
+    ),
     "reference": ("reference", dict(REFERENCE, grid=TINY_GRID), ["grid"]),
     "reference y under kind quantile": ("reference", dict(REFERENCE, kind="quantile", y=0.5), ["y"]),
     "reference p under kind cdf": ("reference", dict(REFERENCE, kind="cdf", y=0.5, p=0.3), ["p"]),
@@ -203,8 +209,9 @@ class TestUnreadKeys:
         [
             ("tune", dict(TUNE, c1_grid=[1.0], grid={"cells": [[1, 65]]}), "grid"),
             ("reference", dict(replications=None, ref_value=None, ref_replications=500, bootstrap_samples=10**12), "bootstrap_samples"),
+            ("mse-grid", dict(ref_replications=10**13), "ref_replications"),
         ],
-        ids=["grid under tune", "bootstrap_samples under reference"],
+        ids=["grid under tune", "bootstrap_samples under reference", "ref_replications beside ref_value"],
     )
     def test_unused_key_is_still_checked(self, tmp_path, capsys, command, overrides, key):
         entries = {k: v for k, v in tiny_entries(**overrides).items() if v is not None}

@@ -70,29 +70,36 @@ class TestDistributionQueries:
 
 
 class TestFastPaths:
-    def test_quantile_deviation_prob_equals_distribution_cdf(self):
-        rng = substream(34)
-        for trial in range(10):
-            n = int(rng.integers(15, 60))
-            values = rng.standard_normal(n)
-            b = int(rng.integers(1, 6))
-            ell = int(rng.integers(1, 8))
-            if ell > n:
-                ell = n
-            rp = ResamplePlan(BlockPlan(b, ell), 400, 1000 + trial)
-            dist = bootstrap_quantile_distribution(values, rp, 0.5)
-            for x in rng.standard_normal(5):
-                assert quantile_deviation_prob(values, rp, 0.5, float(x)) == dist.cdf(float(x))
+    """A Monte Carlo point estimate is one binomial draw around the exact law; in law it is the pasting definition's estimate."""
 
-    def test_cdf_deviation_prob_equals_sequential_loop(self):
-        rng = substream(35)
-        values = rng.standard_normal(30)
-        rp = ResamplePlan(BlockPlan(4, 3), 300, 77)
-        x, y = 0.2, 0.4
-        fast = cdf_deviation_prob(values, rp, x, y)
-        rng_seq = substream(77)
-        stats = [cdf_statistic(values, rp.plan, x, rng_seq) for _ in range(300)]
-        assert fast == np.mean(np.asarray(stats) <= y)
+    SEEDS = 400
+
+    @staticmethod
+    def assert_same_law(new, old):
+        from scipy.stats import ks_2samp
+
+        new, old = np.asarray(new), np.asarray(old)
+        assert ks_2samp(new, old).pvalue > 0.001
+        assert abs(new.mean() - old.mean()) <= 4 * math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / new.size)
+
+    def test_quantile_deviation_prob_matches_distribution_cdf_in_law(self):
+        values = substream(34).standard_normal(30)
+        for b, ell, x in [(1, 4, 0.3), (3, 5, -0.2), (6, 2, 0.5)]:
+            plan = BlockPlan(b, ell)
+            new = [quantile_deviation_prob(values, ResamplePlan(plan, 40, seed), 0.5, x) for seed in range(self.SEEDS)]
+            old = [bootstrap_quantile_distribution(values, ResamplePlan(plan, 40, 10**6 + seed), 0.5).cdf(x) for seed in range(self.SEEDS)]
+            self.assert_same_law(new, old)
+
+    def test_cdf_deviation_prob_matches_sequential_loop_in_law(self):
+        values = substream(35).standard_normal(30)
+        for b, ell, x, y in [(4, 3, 0.2, 0.4), (1, 6, -0.3, 0.0), (8, 2, 0.0, -0.5)]:
+            plan = BlockPlan(b, ell)
+            new = [cdf_deviation_prob(values, ResamplePlan(plan, 40, seed), x, y) for seed in range(self.SEEDS)]
+            old = []
+            for seed in range(self.SEEDS):
+                rng = substream(10**6 + seed)
+                old.append(np.mean([cdf_statistic(values, plan, x, rng) <= y for _ in range(40)]))
+            self.assert_same_law(new, old)
 
     def test_cdf_deviation_prob_saturates(self):
         values = substream(36).standard_normal(40)
@@ -113,45 +120,65 @@ class TestFastPaths:
 
 
 class TestGridCalls:
-    """A grid call returns, entry for entry, what the per-plan call returns for that plan."""
+    """A grid call returns, entry for entry, what per-plan calls return for its plans, drawing in plan order from one generator."""
 
     N = 24
     # Repeated block lengths, b = 1, the moving-block row (4, 6), ell = n and (1, 1).
     PLANS = [(3, 2), (1, 24), (4, 6), (1, 2), (7, 3), (1, 1), (2, 6), (12, 2), (1, 6), (5, 3)]
 
-    def grid(self, n_boot):
-        order = substream(61).permutation(len(self.PLANS))
-        return [ResamplePlan(BlockPlan(*self.PLANS[i]), n_boot, 100 + int(i)) for i in order]
+    def grid(self):
+        return [BlockPlan(*self.PLANS[i]) for i in substream(61).permutation(len(self.PLANS))]
 
     @pytest.mark.parametrize("n_boot", [250, None])
     @pytest.mark.parametrize("ties", [False, True])
     def test_grid_equals_per_plan_calls(self, n_boot, ties):
         values = substream(62).standard_normal(self.N)
         values = np.round(values * 2) if ties else values
-        rps = self.grid(n_boot)
-        got = quantile_deviation_probs(values, rps, 0.5, 0.3)
-        assert got.shape == (len(rps),) and list(got) == [quantile_deviation_prob(values, rp, 0.5, 0.3) for rp in rps]
-        got = cdf_deviation_probs(values, rps, 0.1, -0.2)
-        assert list(got) == [cdf_deviation_prob(values, rp, 0.1, -0.2) for rp in rps]
+        plans = self.grid()
+
+        def rng():
+            return None if n_boot is None else substream(100)
+
+        got, shared = quantile_deviation_probs(values, plans, 0.5, 0.3, n_boot, rng()), rng()
+        assert got.shape == (len(plans),) and list(got) == [quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, shared)[0] for plan in plans]
+        got, shared = cdf_deviation_probs(values, plans, 0.1, -0.2, n_boot, rng()), rng()
+        assert list(got) == [cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, shared)[0] for plan in plans]
+        rps = [ResamplePlan(plan, n_boot, 100 + i) for i, plan in enumerate(plans)]
         got = lower_confidence_bounds(values, rps, 0.4, 0.9)
         assert list(got) == [lower_confidence_bounds(values, [rp], 0.4, 0.9)[0] for rp in rps]
 
+    @pytest.mark.parametrize("n_boot", [250, None])
+    def test_one_plan_calls_draw_from_the_plan_seed(self, n_boot):
+        values = substream(65).standard_normal(self.N)
+        for seed, plan in enumerate(self.grid()):
+            rp, rng = ResamplePlan(plan, n_boot, seed), None if n_boot is None else substream(seed)
+            assert quantile_deviation_prob(values, rp, 0.5, 0.3) == quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, rng)[0]
+            rng = None if n_boot is None else substream(seed)
+            assert cdf_deviation_prob(values, rp, 0.1, -0.2) == cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, rng)[0]
+
+    @pytest.mark.parametrize("n_boot", [10, 2000])
+    def test_vectorised_binomial_equals_sequential_draws(self, n_boot):
+        # What lets a grid call equal per-plan calls on a shared generator; 2000 trials reach numpy's BTPE sampler.
+        probs = np.concatenate(([0.0, 1.0, 1e-12, 1 - 1e-12], substream(66).uniform(size=296)))
+        rng = substream(67)
+        assert list(substream(67).binomial(n_boot, probs)) == [rng.binomial(n_boot, p) for p in probs]
+
     def test_empty_grid_and_checks(self):
         values = substream(63).standard_normal(self.N)
-        assert quantile_deviation_probs(values, [], 0.5, 0.0).shape == (0,)
+        assert quantile_deviation_probs(values, [], 0.5, 0.0, 10, substream(0)).shape == (0,)
         with pytest.raises(ValueError):
-            cdf_deviation_probs(values, self.grid(10) + [ResamplePlan(BlockPlan(1, self.N + 1), 10, 0)], 0.0, 0.0)
+            cdf_deviation_probs(values, self.grid() + [BlockPlan(1, self.N + 1)], 0.0, 0.0)
         with pytest.raises(ValueError):
-            lower_confidence_bounds(values, self.grid(10), 0.5, 1.0)
+            lower_confidence_bounds(values, [ResamplePlan(plan, 10, 0) for plan in self.grid()], 0.5, 1.0)
 
     @pytest.mark.parametrize("n_boot", [10, None])
     def test_cdf_point_extremes(self, n_boot):
         values = substream(64).standard_normal(self.N)
-        rps = self.grid(n_boot)
-        np.testing.assert_allclose(cdf_deviation_probs(values, rps, 0.0, math.inf), 1.0, atol=1e-15)
-        assert list(cdf_deviation_probs(values, rps, 0.0, -math.inf)) == [0.0] * len(rps)
+        plans, rng = self.grid(), substream(68)
+        np.testing.assert_allclose(cdf_deviation_probs(values, plans, 0.0, math.inf, n_boot, rng), 1.0, atol=1e-15)
+        assert list(cdf_deviation_probs(values, plans, 0.0, -math.inf, n_boot, rng)) == [0.0] * len(plans)
         with pytest.raises(ValueError):
-            cdf_deviation_probs(values, rps, 0.0, math.nan)
+            cdf_deviation_probs(values, plans, 0.0, math.nan, n_boot, rng)
 
 
 def brute_force_prob(values, b, ell, event):

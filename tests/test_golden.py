@@ -11,8 +11,11 @@ per block length, Monte Carlo and exact), a Monte Carlo ``tune`` run spanning
 three replication chunks and an exact one spanning two, both reference kinds
 and ``rate-study``.  The two
 cases with several plans per block length were captured before the
-percentile bound's search started from the previous plan's answer.  Each
-config holds only keys its subcommand reads, so no run warns.
+percentile bound's search started from the previous plan's answer.  The
+Monte Carlo ``mse-grid``, ``cdf-mse-grid``, ``rate-study`` and ``tune`` texts
+were captured again when each point estimate became one binomial draw around
+the exact law; the exact cases were pinned before that change.  Each config
+holds only keys its subcommand reads, so no run warns.
 """
 
 import pytest
@@ -72,9 +75,9 @@ GOLDEN = {
     "cdf-mse-grid": {
         "cdf_mse_grid.csv": (
             "b,ell,metric,value,stderr\n"
-            "1,3,mse,0.0204733,0.0026846\n"
-            "2,4,mse,0.00895333,0.00184053\n"
-            "5,5,mse,0.01018,0.00221933\n"
+            "1,3,mse,0.0164733,0.00228509\n"
+            "2,4,mse,0.01018,0.00221933\n"
+            "5,5,mse,0.00751333,0.0021565\n"
         ),
     },
     "cdf-mse-grid-exact": {
@@ -123,9 +126,9 @@ GOLDEN = {
     "mse-grid": {
         "mse_grid.csv": (
             "b,ell,metric,value,stderr\n"
-            "1,3,mse,0.02216,0.00699915\n"
-            "2,4,mse,0.0225867,0.00517716\n"
-            "5,5,mse,0.0228,0.00607157\n"
+            "1,3,mse,0.01192,0.00298362\n"
+            "2,4,mse,0.0193867,0.00744204\n"
+            "5,5,mse,0.0181067,0.00546289\n"
         ),
     },
     "mse-grid-exact": {
@@ -138,28 +141,28 @@ GOLDEN = {
     "rate-study": {
         "mse_grid_n30.csv": (
             "b,ell,metric,value,stderr\n"
-            "2,3,mse,0.0408333,0.0167567\n"
-            "3,4,mse,0.0433333,0.0096225\n"
+            "2,3,mse,0.0366667,0.0129725\n"
+            "3,4,mse,0.0316667,0.0123416\n"
         ),
         "mse_grid_n60.csv": (
             "b,ell,metric,value,stderr\n"
-            "2,3,mse,0.0179167,0.0049797\n"
-            "3,4,mse,0.0141667,0.00554861\n"
+            "2,3,mse,0.0191667,0.00668401\n"
+            "3,4,mse,0.01375,0.00492125\n"
         ),
         "mse_grid_n90.csv": (
             "b,ell,metric,value,stderr\n"
-            "2,3,mse,0.0166667,0.00542201\n"
-            "3,4,mse,0.00625,0.00153093\n"
+            "2,3,mse,0.02125,0.0081809\n"
+            "3,4,mse,0.0145833,0.00538183\n"
         ),
         "rate_minima.csv": (
             "n,min_mse,b,ell\n"
-            "30,0.0408333,2,3\n"
-            "60,0.0141667,3,4\n"
-            "90,0.00625,3,4\n"
+            "30,0.0316667,3,4\n"
+            "60,0.01375,3,4\n"
+            "90,0.0145833,3,4\n"
         ),
         "rate_summary.csv": (
             "metric,value\n"
-            "slope,-1.68893\n"
+            "slope,-0.759385\n"
         ),
     },
     "reference-cdf": {
@@ -177,26 +180,26 @@ GOLDEN = {
     "tune": {
         "tune_err_grid.csv": (
             "c1,c2,b_n,ell_n,err\n"
-            "0.5,0.5,2,2,0.0225238\n"
-            "0.5,1,2,4,0.0330238\n"
-            "1,0.5,4,2,0.0220952\n"
-            "1,1,4,4,0.028369\n"
+            "0.5,0.5,2,2,0.0235952\n"
+            "0.5,1,2,4,0.0265119\n"
+            "1,0.5,4,2,0.0215357\n"
+            "1,1,4,4,0.0302857\n"
         ),
         "tune_study.csv": (
             "c1,c2,b,ell,metric,value,stderr\n"
-            "0.5,0.5,2,2,mse,0.0161071,0.00197344\n"
-            "0.5,0.5,2,2,err_mean,0.0225238,0.00256723\n"
-            "0.5,0.5,2,2,selected_frac,0.385714,0.0581794\n"
-            "0.5,1,2,4,mse,0.01325,0.00167389\n"
-            "0.5,1,2,4,err_mean,0.0330238,0.00307411\n"
-            "0.5,1,2,4,selected_frac,0.142857,0.0418243\n"
-            "1,0.5,4,2,mse,0.0112143,0.00166349\n"
-            "1,0.5,4,2,err_mean,0.0220952,0.00242721\n"
+            "0.5,0.5,2,2,mse,0.0178571,0.0019048\n"
+            "0.5,0.5,2,2,err_mean,0.0235952,0.00247175\n"
+            "0.5,0.5,2,2,selected_frac,0.3,0.0547723\n"
+            "0.5,1,2,4,mse,0.0134643,0.00214363\n"
+            "0.5,1,2,4,err_mean,0.0265119,0.00265336\n"
+            "0.5,1,2,4,selected_frac,0.242857,0.0512525\n"
+            "1,0.5,4,2,mse,0.0129286,0.00198397\n"
+            "1,0.5,4,2,err_mean,0.0215357,0.00250643\n"
             "1,0.5,4,2,selected_frac,0.3,0.0547723\n"
-            "1,1,4,4,mse,0.0121429,0.00184632\n"
-            "1,1,4,4,err_mean,0.028369,0.00295154\n"
-            "1,1,4,4,selected_frac,0.171429,0.0450461\n"
-            ",,,,adaptive_mse,0.0101786,0.00146413\n"
+            "1,1,4,4,mse,0.0128214,0.00168041\n"
+            "1,1,4,4,err_mean,0.0302857,0.00303092\n"
+            "1,1,4,4,selected_frac,0.157143,0.0434986\n"
+            ",,,,adaptive_mse,0.00982143,0.00145276\n"
         ),
     },
     "tune-exact": {

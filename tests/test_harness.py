@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from blockboot import harness, tuning
+from blockboot import estimators, harness, tuning
 from blockboot.harness import (
     ExperimentConfig,
     GridSpec,
@@ -24,7 +24,7 @@ from blockboot.harness import (
     replication_seed,
 )
 from blockboot.models import ModelSpec, arma11_model, constant_model, simulate_batch, squared_arma23_model
-from blockboot.estimators import quantile_deviation_prob
+from blockboot.estimators import quantile_deviation_prob, quantile_deviation_probs
 from blockboot.resample import BlockPlan, ResamplePlan
 from blockboot.seeding import substream
 
@@ -186,12 +186,34 @@ class TestExactGrids:
         def no_seed(*args):
             raise AssertionError("an exact-law run derived a bootstrap seed")
 
+        def series_only(seed, *keys):
+            # The harness derives a series or reference generator from one sub-seed; a bootstrap generator takes keys.
+            return no_seed() if keys else substream(seed)
+
         monkeypatch.setattr(harness, "cell_seed", no_seed)
-        monkeypatch.setattr(tuning, "tuning_subseed", no_seed)
+        monkeypatch.setattr(harness, "substream", series_only)
+        monkeypatch.setattr(tuning, "substream", no_seed)
+        monkeypatch.setattr(estimators, "substream", no_seed)
         cfg = tiny_config(n=64, n_reps=3, exact=True, y=0.5, alpha=0.9, c1_grid=(0.5, 1.0), c2_grid=(0.5, 1.0), subsample_len=27, subsample_count=3)
         for grid_fn in (mse_grid, cdf_mse_grid, coverage_grid):
             assert len(grid_fn(cfg).rows) == 3
         assert len(adaptive_study(cfg).cell_rows) == 4
+
+
+class TestMonteCarloStep:
+    def test_mse_is_exact_error_plus_binomial_variance(self):
+        # Given the series, B replicates estimate G as Binomial(B, G) / B, so
+        # E[(G_B - g)^2 | X] = (G - g)^2 + G(1 - G) / B, G from an exact call.
+        n_boot, g_ref = 10, 0.7
+        cfg = tiny_config(n_reps=400, n_boot=n_boot, ref_value=g_ref)
+        plans = cfg.grid.plans(cfg.n)
+        expected = np.zeros(len(plans))
+        for rep in range(cfg.n_reps):
+            series = simulate_batch(cfg.model, cfg.n, 1, substream(replication_seed(cfg.master_seed, rep)))[0]
+            g = quantile_deviation_probs(series, plans, cfg.p, cfg.x)
+            expected += (g - g_ref) ** 2 + g * (1 - g) / n_boot
+        for row, e in zip(mse_grid(cfg).rows, expected / cfg.n_reps):
+            assert abs(row.value - e) <= 4 * row.stderr
 
 
 class TestCdfMseGrid:

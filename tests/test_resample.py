@@ -171,15 +171,12 @@ class TestEmpiricalDistribution:
 
 
 class TestCountSumTail:
-    def test_tally_and_exact_tail_match_enumeration(self):
+    def test_exact_tail_matches_enumeration(self):
         counts = window_counts(np.array([1, 0, 0, 1, 1, 1, 0]), 3)  # [1, 1, 2, 3, 2]
         plan = BlockPlan(2, 3)
-        starts = np.array(list(itertools.product(range(counts.size), repeat=2))).T  # every start pair once
         for k in range(plan.total_length + 2):
-            expected = sum(counts[i] + counts[j] >= k for i, j in starts.T)
-            assert count_sum_tail(counts, plan, starts, k) == (expected, 25)
-            weight, total = count_sum_tail(counts, plan, None, k)
-            assert total == 1 and weight == pytest.approx(expected / 25, abs=1e-15)
+            expected = sum(counts[i] + counts[j] >= k for i, j in itertools.product(range(counts.size), repeat=2))  # every start pair once
+            assert count_sum_tail(counts, plan, k) == pytest.approx(expected / 25, abs=1e-15)
 
 
 class TestExactDistribution:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from blockboot.seeding import float_key, subseed, substream
+from blockboot.seeding import subseed, substream
 
 
 def test_substream_is_deterministic():
@@ -26,9 +26,3 @@ def test_subseed_repeatable_and_distinct():
     assert subseed(1, 2, 3) == subseed(1, 2, 3)
     seen = {subseed(9, k) for k in range(1000)}
     assert len(seen) == 1000
-
-
-def test_float_key_distinguishes_values():
-    assert float_key(0.5) == float_key(0.5)
-    assert float_key(0.5) != float_key(0.75)
-    assert float_key(1.0) != float_key(-1.0)

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockboot.resample import BlockPlan, ResamplePlan, bootstrap_quantile_distribution
+from blockboot.resample import BlockPlan, exact_quantile_distribution
 from blockboot.seeding import substream
 from blockboot.tuning import (
+    _TUNE_TAG,
     NoFeasiblePlanError,
     TuneConfig,
     default_subsample_len,
@@ -14,7 +15,6 @@ from blockboot.tuning import (
     plan_from_constants,
     select_plan,
     subsample_starts,
-    tuning_subseed,
 )
 
 
@@ -103,24 +103,20 @@ class TestTuningError:
             assert 0.0 <= err <= 1.0
 
     def test_matches_flat_loop_reimplementation(self):
-        # Flat reimplementation via the materialized bootstrap distribution,
-        # an independent evaluation route sharing only the seed derivation.
+        # Flat reimplementation via the enumerated exact distribution, an
+        # independent evaluation route sharing only the draw: one binomial per
+        # cell from the generator of the window (start, length).
         values = substream(53).standard_normal(40)
         cfg = make_cfg(subsample_len=16, subsample_count=3, n_boot=30, rho=2.0)
         c1, c2 = 1.0, 0.5
         got = cell_diagnostics(values, cfg, c1, c2).err
 
-        plan_full = plan_from_constants(40, c1, c2)
-        plan_sub = plan_from_constants(16, c1, c2)
-        rp = ResamplePlan(plan_full, 30, tuning_subseed(cfg.seed, c1, c2, 0, 40))
-        g_full = bootstrap_quantile_distribution(values, rp, 0.5).cdf(1.0)
-        deviations = []
-        for start in [0, 12, 24]:
-            window = values[start : start + 16]
-            rp_sub = ResamplePlan(plan_sub, 30, tuning_subseed(cfg.seed, c1, c2, start, 16))
-            g_sub = bootstrap_quantile_distribution(window, rp_sub, 0.5).cdf(1.0)
-            deviations.append(abs(g_sub - g_full) ** 2)
-        assert got == np.mean(deviations)
+        def estimate(start, length):
+            g = exact_quantile_distribution(values[start : start + length], plan_from_constants(length, c1, c2), 0.5).cdf(1.0)
+            return substream(cfg.seed, _TUNE_TAG, start, length).binomial(30, g) / 30
+
+        g_full = estimate(0, 40)
+        assert got == np.mean([abs(estimate(start, 16) - g_full) ** 2 for start in [0, 12, 24]])
 
     def test_degenerate_constants_raise(self):
         values = substream(54).standard_normal(64)
@@ -174,14 +170,15 @@ class TestSelectPlan:
         assert all(x.err == y.err for x, y in zip(a.table, b.table))
 
     def test_subsample_order_invariance(self):
-        # the error estimate averages over a set of windows; shuffling the
-        # evaluation order must not change the mean
+        # A cell's error under the exact law does not depend on the other
+        # candidates.  Under Monte Carlo each window's generator draws in cell
+        # order, so only the first cell draws as it would alone.
         values = substream(60).standard_normal(64)
-        cfg = make_cfg()
-        diags = grid_diagnostics(values, cfg)
-        for cell in diags:
-            again = cell_diagnostics(values, cfg, cell.c1, cell.c2)
-            assert again.err == cell.err
+        for cfg in (make_cfg(n_boot=None), make_cfg()):
+            diags = grid_diagnostics(values, cfg)
+            for cell in diags if cfg.n_boot is None else diags[:1]:
+                again = cell_diagnostics(values, cfg, cell.c1, cell.c2)
+                assert again.err == cell.err
 
 
 def test_grid_diagnostics_row_order():
