@@ -135,13 +135,9 @@ class TestGridCalls:
         values = substream(62).standard_normal(self.N)
         values = np.round(values * 2) if ties else values
         plans = self.grid()
-
-        def rng():
-            return None if n_boot is None else substream(100)
-
-        got, shared = quantile_deviation_probs(values, plans, 0.5, 0.3, n_boot, rng()), rng()
+        got, shared = quantile_deviation_probs(values, plans, 0.5, 0.3, n_boot, substream(100)), substream(100)
         assert got.shape == (len(plans),) and list(got) == [quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, shared)[0] for plan in plans]
-        got, shared = cdf_deviation_probs(values, plans, 0.1, -0.2, n_boot, rng()), rng()
+        got, shared = cdf_deviation_probs(values, plans, 0.1, -0.2, n_boot, substream(100)), substream(100)
         assert list(got) == [cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, shared)[0] for plan in plans]
         rps = [ResamplePlan(plan, n_boot, 100 + i) for i, plan in enumerate(plans)]
         got = lower_confidence_bounds(values, rps, 0.4, 0.9)
@@ -151,10 +147,9 @@ class TestGridCalls:
     def test_one_plan_calls_draw_from_the_plan_seed(self, n_boot):
         values = substream(65).standard_normal(self.N)
         for seed, plan in enumerate(self.grid()):
-            rp, rng = ResamplePlan(plan, n_boot, seed), None if n_boot is None else substream(seed)
-            assert quantile_deviation_prob(values, rp, 0.5, 0.3) == quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, rng)[0]
-            rng = None if n_boot is None else substream(seed)
-            assert cdf_deviation_prob(values, rp, 0.1, -0.2) == cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, rng)[0]
+            rp = ResamplePlan(plan, n_boot, seed)
+            assert quantile_deviation_prob(values, rp, 0.5, 0.3) == quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, substream(seed))[0]
+            assert cdf_deviation_prob(values, rp, 0.1, -0.2) == cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, substream(seed))[0]
 
     @pytest.mark.parametrize("n_boot", [10, 2000])
     def test_vectorised_binomial_equals_sequential_draws(self, n_boot):
