@@ -58,7 +58,9 @@ worst = max(abs(mc.cdf(v) - q) for v, q in zip(exact.values, np.cumsum(exact.cou
 print(f"largest |MC - exact| CDF gap over the atoms: {worst:.4f}")
 
 # A one-sided lower confidence bound for the population median (here 0),
-# from the Monte Carlo law and from the exact law: one bound per plan given.
-lower, lower_exact = lower_confidence_bounds(series, [rp, ResamplePlan(plan, n_boot=None, seed=0)], p=0.5, alpha=0.90)
+# at 5000 Monte Carlo replicates (one level drawn from a generator) and from
+# the exact law: one bound per plan given.
+(lower,) = lower_confidence_bounds(series, [plan], p=0.5, alpha=0.90, n_boot=5000, rng=substream(123))
+(lower_exact,) = lower_confidence_bounds(series, [plan], p=0.5, alpha=0.90)
 print(f"\n90% lower confidence bound for the median: {lower:+.4f} (true value 0)")
 print(f"the same bound from the exact bootstrap law:  {lower_exact:+.4f}")

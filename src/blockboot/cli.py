@@ -200,17 +200,12 @@ def _check_tune(cfg: harness.ExperimentConfig) -> None:
             raise ConfigError(f"config key {key!r} gives no valid plan at the subsample length {m}")
 
 
-def _check_size(cfg: harness.ExperimentConfig, experiment: str) -> None:
+def _check_size(cfg: harness.ExperimentConfig) -> None:
     """Raise ResourceLimitError, naming the key, when the run's largest allocation exceeds ``_MAX_ALLOCATION``."""
-    if experiment == "tune":
-        blocks = plan_from_constants(cfg.n, max(cfg.c1_grid), 1.0).n_blocks
-    else:
-        blocks = max(plan.n_blocks for n in (cfg.n, *cfg.n_list) for plan in cfg.grid.plans(n))
     ref_chunk = min(cfg.ref_sims, harness._REF_CHUNK)
     allocations = {
         "n": ref_chunk * cfg.n,  # one chunk of reference series
         "n_list": ref_chunk * max(cfg.n_list, default=0),
-        "bootstrap_samples": cfg.n_boot * blocks,  # one block-start matrix
         "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
     }
@@ -252,6 +247,8 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
         if key not in read:
             print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
     cfg = harness.ExperimentConfig(**fields)
+    if cfg.n_boot > 2**53:  # the bound's beta levels take float64 counts
+        raise ConfigError(f"config key 'bootstrap_samples' must be at most 2**53, the largest count a float64 holds exactly, got {cfg.n_boot}")
     if "ref_values" in fields and "ref_values" in read:
         missing = sorted(set(cfg.n_list if "n_list" in required else (cfg.n,)) - {n for n, _ in cfg.ref_values})
         if missing:
@@ -263,7 +260,7 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
             raise ConfigError(f"config key 'grid' is invalid at n={n}: {exc}") from exc
     if check is not None:
         check(cfg)
-    _check_size(cfg, experiment)
+    _check_size(cfg)
     return cfg
 
 

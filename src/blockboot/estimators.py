@@ -6,11 +6,12 @@ quantile lies at or below a threshold when at least ``ceil(b*ell*p)`` values
 do; at most ``c`` of ``m`` values lie at or below ``x`` when at least
 ``m - floor(c)`` lie above it.  Given the series, ``B`` Monte Carlo replicates
 count ``Binomial(B, G)`` hits, so a point estimate draws that count, in plan
-order, from the generator its caller passes.  The bound searches the sorted
-observations for ``G^{-1}(alpha)`` (``_first_reaching``) and pastes nothing:
-it bisects the exact law; on the tallies of the start matrix seeded by
-``rp.seed`` (bit for bit the pasting definition) it starts next to the
-previous plan's answer and sums block counts only over undecided replicates.
+order, from the generator its caller passes.  The bound bisects the sorted
+observations for the first whose exact ``G`` reaches a level
+(``_first_reaching``) and pastes nothing: the level is ``alpha`` for the exact
+law; for ``B`` replicates it is the ``k``-th of ``B`` uniform order
+statistics, one ``Beta(k, B - k + 1)`` draw per plan, so the bound is the
+pasting definition's ``k``-th order statistic in law.
 
 A grid call returns one value per plan, in order, with the center and window
 counts computed once per block length; the singular functions are one-plan calls.
@@ -33,15 +34,6 @@ __all__ = [
 ]
 
 
-def _starts(n: int, rp: ResamplePlan):
-    """Start matrix of ``rp``, ``(b, n_boot)`` C-contiguous so the bound's tallies sum gathers over rows; ``None`` when exact.
-
-    Drawn as ``(n_boot, b)``: column ``j`` holds the draws of the ``j``-th of ``n_boot`` ``draw_block_starts`` calls.
-    """
-    if rp.n_boot is not None:
-        return np.ascontiguousarray(substream(rp.seed).integers(0, n - rp.plan.block_length + 1, size=(rp.n_boot, rp.plan.n_blocks)).T)
-
-
 def _by_block_length(n: int, plans) -> dict:
     """``{ell: [(index, plan), ...]}`` over ``plans`` in order, every plan checked against ``n``."""
     groups: dict = {}
@@ -61,43 +53,22 @@ def _rng(rp: ResamplePlan):
     return None if rp.n_boot is None else substream(rp.seed)
 
 
-def _first_reaching(rank, ell: int, cells, p: float, alpha: float):
-    """For each ``(i, rp)`` of ``cells`` in order, ``i`` and the leftmost ``j < n - 1`` with ``P*(quantile <= ordered[j]) >= alpha``, else ``n - 1``.
+def _first_reaching(rank, ell: int, cells, p: float, levels):
+    """For each ``(i, plan)`` of ``cells`` in order, ``i`` and the leftmost ``j < n - 1`` with ``P*(quantile <= ordered[j]) >= levels[i]``, else ``n - 1``.
 
     ``ordered`` is the sorted series; ``rank`` holds each observation's index in it (the first of its ties), so
     ``rank <= j`` marks the observations at or below ``ordered[j]``.  The window counts of each probed ``j`` are
-    computed once for all cells.  One loop serves both laws.  The exact law (``n_boot=None``) probes midpoints, as
-    ``bisect_left`` does: its float tail weights need not be monotone in ``j`` to the last bit.  Tallies are, so a Monte Carlo search returns the
-    same ``j`` whatever it probes, and it starts from the previous plan's answer ``g``: ``g - 2`` and ``g + 1``,
-    then ``g - 6`` and ``g + 5``, ``g - 14`` and ``g + 13``, ..., skipping a probe outside the open range, so the
-    bracket widens on the side where the answer lies; then it bisects.  In each pair the lower probe goes first
-    when ``alpha >= 1/2``: it likely fails and settles most replicates.  Each probe gathers only the undecided
-    replicates: one whose quantile is at or below ``ordered[j]`` stays so at every larger ``j``, one above it stays
-    above at every smaller ``j``, so the decided ones leave the start matrix and their hits are counted in ``known``.
+    computed once for all cells.  It probes midpoints, as ``bisect_left`` does: the float tail weights need not be
+    monotone in ``j`` to the last bit.
     """
-    rows, warm = {}, ()
-    for i, rp in cells:
-        k, starts = order_stat_index(rp.plan.total_length, p), _starts(rank.size, rp)
-        lo, hi, known, probes = 0, rank.size - 1, 0, iter(() if starts is None else warm)
+    rows = {}
+    for i, plan in cells:
+        k, lo, hi = order_stat_index(plan.total_length, p), 0, rank.size - 1
         while lo < hi:
-            j = next(probes, (lo + hi) // 2)
-            if not lo <= j < hi:
-                continue
+            j = (lo + hi) // 2
             if j not in rows:
                 rows[j] = window_counts(rank <= j, ell)
-            if starts is None:
-                hits, total = count_sum_tail(rows[j], rp.plan, k), 1
-            else:
-                below = rows[j][starts].sum(axis=0) >= k
-                hits, total = known + np.count_nonzero(below), rp.n_boot
-            # Equals `hits >= order_stat_index(total, alpha)` on tallies; the guard absorbs exact-law rounding.
-            # Multiplied, not `hits / total >= alpha * (1 - guard)`, which rounds differently for some alpha.
-            reached = hits >= total * alpha * (1.0 - _INDEX_GUARD)
-            if starts is not None:
-                known, starts = (known, starts[:, below]) if reached else (hits, starts[:, ~below])
-            lo, hi = (lo, j) if reached else (j + 1, hi)
-        pairs = ((lo + 2 - 2**s, lo - 3 + 2**s) for s in range(2, rank.size.bit_length() + 1))
-        warm = [j for pair in pairs for j in (pair if alpha >= 0.5 else pair[::-1])]
+            lo, hi = (lo, j) if count_sum_tail(rows[j], plan, k) >= levels[i] else (j + 1, hi)
         yield i, lo
 
 
@@ -137,27 +108,36 @@ def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = 
     return _monte_carlo(out, n_boot, rng)
 
 
-def lower_confidence_bounds(series, rps, p: float, alpha: float) -> np.ndarray:
-    """Lower percentile confidence bounds for the p-quantile, one per plan of ``rps``.
+def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int | None = None, rng=None) -> np.ndarray:
+    """Lower percentile confidence bounds for the p-quantile, one per plan of ``plans``.
 
-    Each is ``q_hat - G^{-1}(alpha) / sqrt(n)``, ``q_hat`` the sample quantile and ``G`` the bootstrap law of the scaled
-    quantile statistic: Monte Carlo (bit for bit ``bootstrap_quantile_distribution(series, rp, p).quantile(alpha)``) or exact.
-    ``G^{-1}(alpha) = sqrt(b*ell) * (v - center)`` at the smallest observation ``v`` with
-    ``P*(quantile <= v) >= alpha``; the largest observation always qualifies and is not searched.  The exact law is
-    searched by bisection; on tallies the search starts next to the previous plan's answer at the same block length
-    and gathers only the replicates that earlier probes left undecided (:func:`_first_reaching`).
+    Each is ``q_hat - G^{-1}(level) / sqrt(n)``, ``q_hat`` the sample quantile and ``G`` the exact bootstrap law of the
+    scaled quantile statistic: ``G^{-1}(level) = sqrt(b*ell) * (v - center)`` at the smallest observation ``v`` with
+    ``P*(quantile <= v) >= level``; the largest observation always qualifies and is not searched.  Exact with
+    ``n_boot=None`` (``level = alpha``, less the rounding guard); else ``level`` is ``U_(k) ~ Beta(k, n_boot - k + 1)``,
+    ``k = order_stat_index(n_boot, alpha)``, drawn per plan in plan order from ``rng`` by inverting one uniform, so a
+    bound is the ``k``-th of ``n_boot`` draws from ``G``: in law ``bootstrap_quantile_distribution(...).quantile(alpha)``,
+    and monotone in ``alpha`` for a fixed generator.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if n_boot is None:
+        # The guard absorbs the rounding of the exact tail weights.
+        levels = np.full(len(plans), alpha * (1.0 - _INDEX_GUARD))
+    else:
+        from scipy.special import betaincinv  # imported here, as in models: scipy.special is slow to import
+
+        k = order_stat_index(n_boot, alpha)
+        levels = betaincinv(k, n_boot - k + 1, rng.random(len(plans)))
     values = as_values(series)
     ordered = np.sort(values)
     rank = np.searchsorted(ordered, values)  # values <= ordered[j] exactly when rank <= j
     q_hat = sample_quantile(values, p)
-    out = np.empty(len(rps))
-    for ell, cells in _by_block_length(values.size, [rp.plan for rp in rps]).items():
+    out = np.empty(len(plans))
+    for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_quantile(values, ell, p)
-        for i, g in _first_reaching(rank, ell, [(i, rps[i]) for i, _ in cells], p, alpha):
-            out[i] = q_hat - np.sqrt(rps[i].plan.total_length) * (ordered[g] - center) / np.sqrt(values.size)
+        for i, g in _first_reaching(rank, ell, cells, p, levels):
+            out[i] = q_hat - np.sqrt(plans[i].total_length) * (ordered[g] - center) / np.sqrt(values.size)
     return out
 
 

@@ -6,9 +6,9 @@ series, evaluate a bootstrap estimator on each over a grid of block plans
 metrics against a reference value obtained from a separate massive
 simulation.  The three surfaces (MSE, CDF MSE, coverage) share one driver
 and differ only in the per-replication quantity.  Seeding is hierarchical:
-each replication's series, the one generator its point estimates draw from
-in plan order and the seed of each of its bounds derive from the master seed,
-the replication and the cell alone: bit-identical for any worker count.
+each replication's series and the one generator its estimates (point
+estimates or bounds) draw from in plan order derive from the master seed and
+the replication alone: bit-identical for any worker count.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the
@@ -34,7 +34,7 @@ from . import __version__, empirical, models, seeding
 from .empirical import order_stat_index
 from .estimators import cdf_deviation_probs, lower_confidence_bounds, quantile_deviation_probs
 from .models import ModelSpec, simulate_batch
-from .resample import BlockPlan, ResamplePlan
+from .resample import BlockPlan
 from .seeding import subseed, substream
 from .tuning import TuneConfig, argmin_cell, grid_diagnostics, plan_from_constants
 
@@ -55,7 +55,6 @@ __all__ = [
     "adaptive_study",
     "log_log_slope",
     "replication_seed",
-    "cell_seed",
     "reference_seed",
     "tuning_replication_seed",
     "write_csv",
@@ -66,7 +65,6 @@ __all__ = [
 
 _TAG_REFERENCE = 0
 _TAG_SERIES = 1
-_TAG_BOOT = 2
 _TAG_TUNE = 3
 _TAG_POINT = 4
 
@@ -78,11 +76,6 @@ _MAX_CELLS = 10**6
 def replication_seed(master_seed: int, rep: int) -> int:
     """Sub-seed generating the series of outer replication ``rep``."""
     return subseed(master_seed, _TAG_SERIES, rep)
-
-
-def cell_seed(master_seed: int, cell_index: int, rep: int) -> int:
-    """Sub-seed of the percentile bound's block-start draws for one grid cell in one replication."""
-    return subseed(master_seed, _TAG_BOOT, cell_index, rep)
 
 
 def reference_seed(master_seed: int, chunk_index: int) -> int:
@@ -359,7 +352,7 @@ def _squared_errors(estimates, g_ref):
 
 
 def _point_draws(cfg, rep) -> tuple:
-    """``(n_boot, rng)`` of replication ``rep``'s point estimates, one generator for all cells; ``(None, None)`` when ``cfg.exact``."""
+    """``(n_boot, rng)`` of replication ``rep``'s estimates, one generator for all cells; ``(None, None)`` when ``cfg.exact``."""
     return (None, None) if cfg.exact else (cfg.n_boot, substream(cfg.master_seed, _TAG_POINT, rep))
 
 
@@ -372,10 +365,8 @@ def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
 
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
-    # Each cell's bound draws its block starts from its own seed; exact laws (n_boot=None) read none.
-    rps = [ResamplePlan(plan, None, 0) if cfg.exact else ResamplePlan(plan, cfg.n_boot, cell_seed(cfg.master_seed, ci, rep)) for ci, plan in enumerate(plans)]
     # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
-    hits = (q_true >= lower_confidence_bounds(series, rps, cfg.p, cfg.alpha)).astype(np.int64)
+    hits = (q_true >= lower_confidence_bounds(series, plans, cfg.p, cfg.alpha, *_point_draws(cfg, rep))).astype(np.int64)
     return hits, hits
 
 

@@ -14,9 +14,10 @@ the resampled quantile is at most a threshold exactly when the ``b`` block
 counts of values at or below it (:func:`window_counts`) sum to ``ceil(b*ell*p)``
 or more.  Every estimate reads that one answer, :func:`count_sum_tail`, the
 exact probability of that event given the series; a Monte Carlo point
-estimate draws its count of hits from it as a binomial.  The functions that
-paste blocks are the definitions it is tested against, bit for bit for the
-percentile bound and in law for the point estimates.
+estimate draws its count of hits from it as a binomial, and a Monte Carlo
+bound its level as a beta order statistic.  The functions that
+paste blocks are the definitions it is tested against, in law for the point
+estimates and for the percentile bound.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ class TestUnreadKeys:
         "command, overrides, key",
         [
             ("tune", dict(TUNE, c1_grid=[1.0], grid={"cells": [[1, 65]]}), "grid"),
-            ("reference", dict(replications=None, ref_value=None, ref_replications=500, bootstrap_samples=10**12), "bootstrap_samples"),
+            ("reference", dict(replications=None, ref_value=None, ref_replications=500, bootstrap_samples=10**30), "bootstrap_samples"),
             ("mse-grid", dict(ref_replications=10**13), "ref_replications"),
         ],
         ids=["grid under tune", "bootstrap_samples under reference", "ref_replications beside ref_value"],
@@ -258,7 +258,6 @@ def test_build_config_raises_config_error_or_gives_a_usable_config(raw, command)
 # (subcommand, config entries over tiny_entries(), key the exit-3 message names)
 OVERSIZED = {
     "n": ("mse-grid", dict(n=10**30), "'n'"),
-    "bootstrap_samples": ("mse-grid", dict(bootstrap_samples=10**12), "'bootstrap_samples'"),
     "n_list": ("rate-study", dict(n_list=[30, 60, 10**9]), "'n_list'"),
 }
 
@@ -270,6 +269,18 @@ class TestResourceLimit:
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries(**overrides))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides", [("mse-grid", dict()), ("coverage-grid", dict(alpha=0.9, x=None, ref_value=None))], ids=["mse-grid", "coverage-grid"])
+    def test_bootstrap_samples_allocate_nothing(self, tmp_path, command, overrides):
+        # Each cell draws one binomial count or one beta level, whatever the replicate count.
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(bootstrap_samples=10**12, replications=2, **overrides))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_bootstrap_samples_past_float64_counts_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(bootstrap_samples=10**30))
+        assert main(["mse-grid", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "'bootstrap_samples'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_largest_allowed_reference_chunk_builds(self):

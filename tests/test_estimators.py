@@ -8,7 +8,6 @@ import pytest
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
 from blockboot.estimators import (
-    _starts,
     cdf_deviation_prob,
     cdf_deviation_probs,
     lower_confidence_bounds,
@@ -21,7 +20,6 @@ from blockboot.resample import (
     ResamplePlan,
     bootstrap_quantile_distribution,
     cdf_statistic,
-    draw_block_starts,
     exact_quantile_distribution,
     quantile_statistic,
 )
@@ -139,9 +137,8 @@ class TestGridCalls:
         assert got.shape == (len(plans),) and list(got) == [quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, shared)[0] for plan in plans]
         got, shared = cdf_deviation_probs(values, plans, 0.1, -0.2, n_boot, substream(100)), substream(100)
         assert list(got) == [cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, shared)[0] for plan in plans]
-        rps = [ResamplePlan(plan, n_boot, 100 + i) for i, plan in enumerate(plans)]
-        got = lower_confidence_bounds(values, rps, 0.4, 0.9)
-        assert list(got) == [lower_confidence_bounds(values, [rp], 0.4, 0.9)[0] for rp in rps]
+        got, shared = lower_confidence_bounds(values, plans, 0.4, 0.9, n_boot, substream(100)), substream(100)
+        assert list(got) == [lower_confidence_bounds(values, [plan], 0.4, 0.9, n_boot, shared)[0] for plan in plans]
 
     @pytest.mark.parametrize("n_boot", [250, None])
     def test_one_plan_calls_draw_from_the_plan_seed(self, n_boot):
@@ -164,7 +161,7 @@ class TestGridCalls:
         with pytest.raises(ValueError):
             cdf_deviation_probs(values, self.grid() + [BlockPlan(1, self.N + 1)], 0.0, 0.0)
         with pytest.raises(ValueError):
-            lower_confidence_bounds(values, [ResamplePlan(plan, 10, 0) for plan in self.grid()], 0.5, 1.0)
+            lower_confidence_bounds(values, self.grid(), 0.5, 1.0, 10, substream(0))
 
     @pytest.mark.parametrize("n_boot", [10, None])
     def test_cdf_point_extremes(self, n_boot):
@@ -220,36 +217,32 @@ class TestExactLaw:
             p, alpha = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
             plan = BlockPlan(b, ell)
             expected = sample_quantile(values, p) - exact_quantile_distribution(values, plan, p).quantile(alpha) / np.sqrt(values.size)
-            assert lower_confidence_bounds(values, [ResamplePlan(plan, None, 0)], p, alpha)[0] == expected
+            assert lower_confidence_bounds(values, [plan], p, alpha)[0] == expected
 
 
 class TestLowerConfidenceBound:
-    def test_bisection_equals_pasted_distribution(self):
-        # The Monte Carlo bound (a bisection over count tallies) bit for bit
-        # against the full pasted law, with tied values in half the instances,
-        # n_boot * alpha an integer in a third, b = 1 in a quarter and ell = n
-        # in a fifth.
-        rng = substream(44)
-        for trial in range(300):
-            n = int(rng.integers(2, 41))
-            values = rng.integers(0, 6, size=n).astype(float) if trial % 2 else rng.standard_normal(n)
-            ell = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
-            b = 1 if trial % 4 == 0 else int(rng.integers(1, 7))
-            if trial % 3:
-                n_boot, alpha = int(rng.integers(1, 300)), float(rng.uniform(0.01, 0.99))
-            else:
-                n_boot, alpha = 20 * int(rng.integers(1, 15)), float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.9, 0.95]))
-            rp = ResamplePlan(BlockPlan(b, ell), n_boot, trial)
-            p = float(rng.uniform(0.01, 0.99))
-            expected = sample_quantile(values, p) - bootstrap_quantile_distribution(values, rp, p).quantile(alpha) / np.sqrt(n)
-            assert lower_confidence_bounds(values, [rp], p, alpha)[0] == expected
+    @pytest.mark.parametrize("n_boot", [40, 2000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_grid_bounds_match_pasted_laws_in_law(self, n_boot, ties):
+        # Each plan's Monte Carlo bound from a grid call on a shared generator,
+        # over seeds, against the pasting definition's: b = 1, ell = n, a
+        # repeated block length, and alpha in both tails and the middle.
+        n = 30
+        values = substream(44).standard_normal(n)
+        values = np.round(values * 2) if ties else values
+        plans = [BlockPlan(1, 6), BlockPlan(3, 6), BlockPlan(2, n), BlockPlan(5, 3)]
+        q_hat, seeds = sample_quantile(values, 0.4), range(TestFastPaths.SEEDS)
+        pasted = [[bootstrap_quantile_distribution(values, ResamplePlan(plan, n_boot, 10**6 + seed), 0.4) for seed in seeds] for plan in plans]
+        for alpha in (0.05, 0.5, 0.95):
+            new = np.array([lower_confidence_bounds(values, plans, 0.4, alpha, n_boot, substream(seed)) for seed in seeds])
+            for j, dists in enumerate(pasted):
+                TestFastPaths.assert_same_law(new[:, j], [q_hat - dist.quantile(alpha) / np.sqrt(n) for dist in dists])
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_grid_calls_equal_full_laws(self, order, ties):
-        # Several b per block length, so every Monte Carlo search but the first
-        # at its block length starts from the previous plan's answer; the
-        # exact ones must not.  The tuple counts stay under the exact cap.
+        # Exact bounds, several b per block length and in any plan order, equal
+        # the enumerated law's quantiles.  The tuple counts stay under the exact cap.
         n = 30
         values = substream(46).standard_normal(n)
         values = np.round(values * 2) if ties else values
@@ -260,11 +253,8 @@ class TestLowerConfidenceBound:
             plans = [plans[i] for i in substream(47).permutation(len(plans))]
         q_hat = sample_quantile(values, 0.4)
         for alpha in (0.05, 0.1, 0.5, 0.9, 0.95):
-            rps = [ResamplePlan(plan, 300, 60 + i) for i, plan in enumerate(plans)]
-            expected = [q_hat - bootstrap_quantile_distribution(values, rp, 0.4).quantile(alpha) / np.sqrt(n) for rp in rps]
-            assert list(lower_confidence_bounds(values, rps, 0.4, alpha)) == expected
             expected = [q_hat - exact_quantile_distribution(values, plan, 0.4).quantile(alpha) / np.sqrt(n) for plan in plans]
-            assert list(lower_confidence_bounds(values, [ResamplePlan(plan, None, 0) for plan in plans], 0.4, alpha)) == expected
+            assert list(lower_confidence_bounds(values, plans, 0.4, alpha)) == expected
 
     def test_bound_pastes_nothing(self, monkeypatch):
         def paste(*args, **kwargs):
@@ -273,37 +263,25 @@ class TestLowerConfidenceBound:
         monkeypatch.setattr(resample, "bootstrap_quantile_distribution", paste)
         monkeypatch.setattr(estimators, "bootstrap_quantile_distribution", paste, raising=False)
         values = substream(45).standard_normal(60)
-        assert math.isfinite(lower_confidence_bounds(values, [ResamplePlan(BlockPlan(5, 6), 500, 1)], 0.5, 0.9)[0])
-
-    def test_start_matrix_is_block_major(self):
-        n, rp = 30, ResamplePlan(BlockPlan(4, 7), 50, 12)
-        starts = _starts(n, rp)
-        assert starts.shape == (4, 50) and starts.flags.c_contiguous
-        rng = substream(rp.seed)
-        for j in range(rp.n_boot):
-            assert np.array_equal(starts[:, j], draw_block_starts(rng, n, rp.plan))
-        assert _starts(n, ResamplePlan(rp.plan, None, 12)) is None
+        assert math.isfinite(lower_confidence_bounds(values, [BlockPlan(5, 6)], 0.5, 0.9, 500, substream(1))[0])
 
     def test_constant_series(self):
-        assert lower_confidence_bounds(np.full(20, 4.2), [ResamplePlan(BlockPlan(4, 3), 200, 5)], 0.5, 0.9)[0] == 4.2
+        assert lower_confidence_bounds(np.full(20, 4.2), [BlockPlan(4, 3)], 0.5, 0.9, 200, substream(5))[0] == 4.2
 
     def test_monotone_in_alpha(self):
         values = substream(38).standard_normal(50)
-        rp = ResamplePlan(BlockPlan(4, 4), 400, 21)
-        lowers = [lower_confidence_bounds(values, [rp], 0.5, a)[0] for a in (0.5, 0.8, 0.9, 0.99)]
+        lowers = [lower_confidence_bounds(values, [BlockPlan(4, 4)], 0.5, a, 400, substream(21))[0] for a in (0.5, 0.8, 0.9, 0.99)]
         assert np.all(np.diff(lowers) <= 0)
 
     def test_shift_equivariance(self):
         values = substream(39).standard_normal(40)
-        rp = ResamplePlan(BlockPlan(3, 5), 300, 22)
-        base = lower_confidence_bounds(values, [rp], 0.5, 0.9)[0]
+        base = lower_confidence_bounds(values, [BlockPlan(3, 5)], 0.5, 0.9, 300, substream(22))[0]
         for shift in (-3.0, 0.5, 11.0):
-            shifted = lower_confidence_bounds(values + shift, [rp], 0.5, 0.9)[0]
+            shifted = lower_confidence_bounds(values + shift, [BlockPlan(3, 5)], 0.5, 0.9, 300, substream(22))[0]
             assert shifted == pytest.approx(base + shift, abs=1e-9)
 
     def test_alpha_validation(self):
         values = substream(40).standard_normal(20)
-        rp = ResamplePlan(BlockPlan(2, 3), 50, 1)
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError):
-                lower_confidence_bounds(values, [rp], 0.5, alpha)
+                lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, alpha, 50, substream(1))

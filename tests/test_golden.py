@@ -9,13 +9,13 @@ The cases are tiny (a few seconds in total) and cover Monte Carlo and exact
 ``mse-grid``, ``cdf-mse-grid``, ``coverage-grid`` (also with several plans
 per block length, Monte Carlo and exact), a Monte Carlo ``tune`` run spanning
 three replication chunks and an exact one spanning two, both reference kinds
-and ``rate-study``.  The two
-cases with several plans per block length were captured before the
-percentile bound's search started from the previous plan's answer.  The
+and ``rate-study``.  The
 Monte Carlo ``mse-grid``, ``cdf-mse-grid``, ``rate-study`` and ``tune`` texts
 were captured again when each point estimate became one binomial draw around
-the exact law; the exact cases were pinned before that change.  Each config
-holds only keys its subcommand reads, so no run warns.
+the exact law, and the two Monte Carlo ``coverage-grid`` texts when each
+bound became one beta-distributed level searched in the exact law; the exact
+cases were pinned before those changes.  Each config holds only keys its
+subcommand reads, so no run warns.
 """
 
 import pytest
@@ -24,7 +24,7 @@ import yaml
 from blockboot.cli import EXPERIMENTS, main
 
 GRID = {"cells": [[1, 3], [2, 4], [5, 5]]}
-# Several plans per block length, in mixed b order, so the bound's search runs from the previous plan's answer.
+# Several plans per block length, in mixed b order, so the bound's searches share window counts.
 PLANS = {"cells": [[1, 4], [4, 4], [2, 4], [9, 4], [3, 6], [1, 6], [6, 6], [2, 2], [10, 2], [5, 2]]}
 EXACT_PLANS = {"cells": [[1, 3], [4, 3], [2, 3], [8, 3], [3, 4], [1, 4], [6, 4]]}
 BASE = dict(model="arma11", n=40, x=1.0, grid=GRID, replications=15, bootstrap_samples=25, ref_value=0.7, seed=3)
@@ -93,21 +93,21 @@ GOLDEN = {
             "b,ell,metric,value,stderr\n"
             "1,3,coverage,0.9,0.0948683\n"
             "2,4,coverage,0.7,0.144914\n"
-            "5,5,coverage,0.9,0.0948683\n"
+            "5,5,coverage,0.8,0.126491\n"
         ),
     },
     "coverage-grid-plans": {
         "coverage_grid.csv": (
             "b,ell,metric,value,stderr\n"
             "1,4,coverage,0.7,0.10247\n"
-            "4,4,coverage,0.65,0.106654\n"
-            "2,4,coverage,0.65,0.106654\n"
-            "9,4,coverage,0.7,0.10247\n"
+            "4,4,coverage,0.7,0.10247\n"
+            "2,4,coverage,0.7,0.10247\n"
+            "9,4,coverage,0.6,0.109545\n"
             "3,6,coverage,0.7,0.10247\n"
-            "1,6,coverage,0.65,0.106654\n"
-            "6,6,coverage,0.6,0.109545\n"
-            "2,2,coverage,0.65,0.106654\n"
-            "10,2,coverage,0.65,0.106654\n"
+            "1,6,coverage,0.75,0.0968246\n"
+            "6,6,coverage,0.65,0.106654\n"
+            "2,2,coverage,0.6,0.109545\n"
+            "10,2,coverage,0.6,0.109545\n"
             "5,2,coverage,0.7,0.10247\n"
         ),
     },

@@ -15,7 +15,6 @@ from blockboot.harness import (
     ReferenceCache,
     adaptive_study,
     cdf_mse_grid,
-    cell_seed,
     coverage_grid,
     log_log_slope,
     mse_grid,
@@ -24,7 +23,7 @@ from blockboot.harness import (
     replication_seed,
 )
 from blockboot.models import ModelSpec, arma11_model, constant_model, simulate_batch, squared_arma23_model
-from blockboot.estimators import quantile_deviation_prob, quantile_deviation_probs
+from blockboot.estimators import lower_confidence_bounds, quantile_deviation_prob, quantile_deviation_probs
 from blockboot.resample import BlockPlan, ResamplePlan
 from blockboot.seeding import substream
 
@@ -190,7 +189,6 @@ class TestExactGrids:
             # The harness derives a series or reference generator from one sub-seed; a bootstrap generator takes keys.
             return no_seed() if keys else substream(seed)
 
-        monkeypatch.setattr(harness, "cell_seed", no_seed)
         monkeypatch.setattr(harness, "substream", series_only)
         monkeypatch.setattr(tuning, "substream", no_seed)
         monkeypatch.setattr(estimators, "substream", no_seed)
@@ -257,6 +255,16 @@ class TestCoverageGrid:
     def test_requires_alpha(self):
         with pytest.raises(ValueError):
             coverage_grid(tiny_config())
+
+    def test_monte_carlo_mode_matches_flat_loop(self):
+        # Each replication's bounds draw in plan order from the generator its point estimates would use.
+        cfg = tiny_config(alpha=0.8, n_reps=15)
+        plans = cfg.grid.plans(cfg.n)
+        q_true, covered = cfg.model.marginal_quantile(cfg.p), np.zeros(len(plans))
+        for rep in range(cfg.n_reps):
+            series = simulate_batch(cfg.model, cfg.n, 1, substream(replication_seed(cfg.master_seed, rep)))[0]
+            covered += q_true >= lower_confidence_bounds(series, plans, cfg.p, cfg.alpha, cfg.n_boot, substream(cfg.master_seed, harness._TAG_POINT, rep))
+        assert [row.value for row in coverage_grid(cfg).rows] == list(covered / cfg.n_reps)
 
     def test_mostly_undercovers_at_nominal_90(self):
         # wide spread of plans; nominal-level intervals undercover at most of
@@ -464,4 +472,3 @@ class TestReferenceCache:
 
 def test_seed_helpers_are_stable():
     assert replication_seed(5, 3) == replication_seed(5, 3)
-    assert cell_seed(5, 1, 2) != cell_seed(5, 2, 1)
