@@ -15,6 +15,8 @@ end-to-end metric that ``BENCHMARK.json`` declares, the output holds each
 side's runs, median and quartiles, the change's median relative to the
 parent's, and the share of pairs the change wins (ties count for neither),
 plus the failed and attempted rounds and the environment ``run.py`` prints.
+``src_lines`` holds each side's physical lines of ``src/**/*.py``, counted as
+``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def src_lines(checkout: Path) -> int:
+    """Newline characters in the ``src/**/*.py`` files of ``checkout``: their total under ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
@@ -90,6 +97,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         extract(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        out["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
         for workload, count in plan.items():
             runs = {"parent": [], "change": []}
             for i in range(count):

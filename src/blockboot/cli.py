@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 
 import yaml
 
@@ -200,14 +201,16 @@ def _check_tune(cfg: harness.ExperimentConfig) -> None:
             raise ConfigError(f"config key {key!r} gives no valid plan at the subsample length {m}")
 
 
-def _check_size(cfg: harness.ExperimentConfig) -> None:
-    """Raise ResourceLimitError, naming the key, when the run's largest allocation exceeds ``_MAX_ALLOCATION``."""
-    ref_chunk = min(cfg.ref_sims, harness._REF_CHUNK)
+def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
+    """Raise ResourceLimitError, naming the key (the first of equals), when the largest allocation of a run reading ``read`` at ``sizes`` exceeds ``_MAX_ALLOCATION``."""
+    series = min(cfg.ref_sims, harness._REF_CHUNK) if "ref_replications" in read else 1  # simulated at once: a reference chunk, or a replication's
+    # A grid call holds the window counts of the plans sharing a block length, and the law of its largest plan.
+    grids = [(n, cfg.grid.plans(n)) for n in sizes if "grid" in read]
     allocations = {
-        "n": ref_chunk * cfg.n,  # one chunk of reference series
-        "n_list": ref_chunk * max(cfg.n_list, default=0),
+        "n_list" if "n_list" in read else "n": series * max(sizes),
         "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
+        "grid": max((max(n * max(Counter(q.block_length for q in plans).values()), max(q.total_length for q in plans) + 1) for n, plans in grids), default=0),
     }
     key, size = max(allocations.items(), key=lambda item: item[1])
     if size > _MAX_ALLOCATION:
@@ -246,11 +249,12 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
     for key in raw:
         if key not in read:
             print(f"warning: config key {key!r} is not used by {experiment}; its value is still checked", file=sys.stderr)
+    if fields.get("n_boot", 0) > 2**53:  # the bound's beta levels take float64 counts
+        raise ConfigError(f"config key 'bootstrap_samples' must be at most 2**53, the largest count a float64 holds exactly, got {fields['n_boot']}")
     cfg = harness.ExperimentConfig(**fields)
-    if cfg.n_boot > 2**53:  # the bound's beta levels take float64 counts
-        raise ConfigError(f"config key 'bootstrap_samples' must be at most 2**53, the largest count a float64 holds exactly, got {cfg.n_boot}")
+    sizes = cfg.n_list if "n_list" in read else (cfg.n,)
     if "ref_values" in fields and "ref_values" in read:
-        missing = sorted(set(cfg.n_list if "n_list" in required else (cfg.n,)) - {n for n, _ in cfg.ref_values})
+        missing = sorted(set(sizes) - {n for n, _ in cfg.ref_values})
         if missing:
             raise ConfigError(f"config key 'ref_values' has no entry for the sample size(s) {missing}")
     for n in (cfg.n, *cfg.n_list):
@@ -260,7 +264,7 @@ def build_config(raw: dict, args) -> harness.ExperimentConfig:
             raise ConfigError(f"config key 'grid' is invalid at n={n}: {exc}") from exc
     if check is not None:
         check(cfg)
-    _check_size(cfg)
+    _check_size(cfg, read, sizes)
     return cfg
 
 

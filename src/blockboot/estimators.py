@@ -8,7 +8,7 @@ do; at most ``c`` of ``m`` values lie at or below ``x`` when at least
 count ``Binomial(B, G)`` hits, so a point estimate draws that count, in plan
 order, from the generator its caller passes.  The bound bisects the sorted
 observations for the first whose exact ``G`` reaches a level
-(``_first_reaching``) and pastes nothing: the level is ``alpha`` for the exact
+(``bisect.bisect_left``) and pastes nothing: the level is ``alpha`` for the exact
 law; for ``B`` replicates it is the ``k``-th of ``B`` uniform order
 statistics, one ``Beta(k, B - k + 1)`` draw per plan, so the bound is the
 pasting definition's ``k``-th order statistic in law.
@@ -19,9 +19,12 @@ counts computed once per block length; the singular functions are one-plan calls
 
 from __future__ import annotations
 
+import bisect
+import functools
+
 import numpy as np
 
-from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
+from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index
 from .resample import ResamplePlan, _check_plan, count_sum_tail, window_counts
 from .seeding import substream
 
@@ -51,25 +54,6 @@ def _monte_carlo(weights, n_boot, rng) -> np.ndarray:
 def _rng(rp: ResamplePlan):
     """Generator seeded by ``rp.seed``; none for the exact law."""
     return None if rp.n_boot is None else substream(rp.seed)
-
-
-def _first_reaching(rank, ell: int, cells, p: float, levels):
-    """For each ``(i, plan)`` of ``cells`` in order, ``i`` and the leftmost ``j < n - 1`` with ``P*(quantile <= ordered[j]) >= levels[i]``, else ``n - 1``.
-
-    ``ordered`` is the sorted series; ``rank`` holds each observation's index in it (the first of its ties), so
-    ``rank <= j`` marks the observations at or below ``ordered[j]``.  The window counts of each probed ``j`` are
-    computed once for all cells.  It probes midpoints, as ``bisect_left`` does: the float tail weights need not be
-    monotone in ``j`` to the last bit.
-    """
-    rows = {}
-    for i, plan in cells:
-        k, lo, hi = order_stat_index(plan.total_length, p), 0, rank.size - 1
-        while lo < hi:
-            j = (lo + hi) // 2
-            if j not in rows:
-                rows[j] = window_counts(rank <= j, ell)
-            lo, hi = (lo, j) if count_sum_tail(rows[j], plan, k) >= levels[i] else (j + 1, hi)
-        yield i, lo
 
 
 def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | None = None, rng=None) -> np.ndarray:
@@ -117,7 +101,7 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
     ``n_boot=None`` (``level = alpha``, less the rounding guard); else ``level`` is ``U_(k) ~ Beta(k, n_boot - k + 1)``,
     ``k = order_stat_index(n_boot, alpha)``, drawn per plan in plan order from ``rng`` by inverting one uniform, so a
     bound is the ``k``-th of ``n_boot`` draws from ``G``: in law ``bootstrap_quantile_distribution(...).quantile(alpha)``,
-    and monotone in ``alpha`` for a fixed generator.
+    and monotone in ``alpha`` for a fixed generator.  An ``n_boot`` over ``2**53`` raises ``ValueError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -125,19 +109,24 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
         # The guard absorbs the rounding of the exact tail weights.
         levels = np.full(len(plans), alpha * (1.0 - _INDEX_GUARD))
     else:
+        if n_boot > 2**53:  # past it betaincinv returns NaN levels, which no observation reaches
+            raise ValueError("n_boot must be at most 2**53, the largest count a float64 holds exactly")
         from scipy.special import betaincinv  # imported here, as in models: scipy.special is slow to import
 
         k = order_stat_index(n_boot, alpha)
         levels = betaincinv(k, n_boot - k + 1, rng.random(len(plans)))
     values = as_values(series)
     ordered = np.sort(values)
-    rank = np.searchsorted(ordered, values)  # values <= ordered[j] exactly when rank <= j
-    q_hat = sample_quantile(values, p)
+    q_hat = ordered[order_stat_index(values.size, p) - 1]
     out = np.empty(len(plans))
     for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_quantile(values, ell, p)
-        for i, g in _first_reaching(rank, ell, cells, p, levels):
-            out[i] = q_hat - np.sqrt(plans[i].total_length) * (ordered[g] - center) / np.sqrt(values.size)
+        counts_at = functools.cache(lambda j: window_counts(values <= ordered[j], ell))  # probes shared by the cells
+        for i, plan in cells:
+            k = order_stat_index(plan.total_length, p)
+            # Midpoint probes tolerate tails not monotone in j to the last bit; a float key beats a numpy-bool one.
+            g = bisect.bisect_left(range(values.size - 1), levels[i], key=lambda j: count_sum_tail(counts_at(j), plan, k))
+            out[i] = q_hat - np.sqrt(plan.total_length) * (ordered[g] - center) / np.sqrt(values.size)
     return out
 
 

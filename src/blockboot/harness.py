@@ -173,8 +173,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_reps < 1 or self.n_boot < 1 or self.ref_sims < 1:
-            raise ValueError("n_reps, n_boot and ref_sims must be at least 1")
+        if self.n_reps < 1 or self.n_boot < 1 or self.ref_sims < 1 or self.n_boot > 2**53:  # the bound's beta levels take float64 counts
+            raise ValueError("n_reps and ref_sims must be at least 1, and n_boot must lie in [1, 2**53]")
 
 
 @dataclass(frozen=True)
@@ -246,20 +246,13 @@ class AdaptiveResult:
 
 
 def _run_chunked(worker, payload, n_items: int, workers: int, chunk: int):
-    """Map ``worker(payload, lo, hi)`` over fixed chunks, reducing in chunk order.
+    """Map ``worker(payload, lo, hi)`` over fixed chunks, in chunk order, on up to ``workers`` spawned processes.
 
     Chunk boundaries depend only on ``n_items``, so float accumulations
-    combined in order are bit-identical for every worker count.
+    combined in order are bit-identical for every worker count.  ``spawn``
+    exists on every platform; ``worker`` and ``payload`` must pickle.
     """
     tasks = [(payload, lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    return _starmap(worker, tasks, workers)
-
-
-def _starmap(worker, tasks, workers: int):
-    """``[worker(*task) for task in tasks]``, in order, on up to ``workers`` spawned processes.
-
-    ``spawn`` exists on every platform; ``worker`` and the tasks must pickle.
-    """
     if workers <= 1 or len(tasks) == 1:
         return [worker(*task) for task in tasks]
     with multiprocessing.get_context("spawn").Pool(processes=min(workers, len(tasks))) as pool:

@@ -258,7 +258,10 @@ def test_build_config_raises_config_error_or_gives_a_usable_config(raw, command)
 # (subcommand, config entries over tiny_entries(), key the exit-3 message names)
 OVERSIZED = {
     "n": ("mse-grid", dict(n=10**30), "'n'"),
+    "n with a simulated reference": ("mse-grid", dict(n=12000, grid={"cells": [[2, 3]]}, replications=1, ref_value=None), "'n'"),
     "n_list": ("rate-study", dict(n_list=[30, 60, 10**9]), "'n_list'"),
+    "grid law": ("mse-grid", dict(grid={"cells": [[100000000, 2]]}), "'grid'"),
+    "grid window counts": ("coverage-grid", dict(n=20000, grid={"b": [1, 20000], "ell": [1, 1]}, alpha=0.9, x=None, ref_value=None), "'grid'"),
 }
 
 
@@ -275,6 +278,12 @@ class TestResourceLimit:
     def test_bootstrap_samples_allocate_nothing(self, tmp_path, command, overrides):
         # Each cell draws one binomial count or one beta level, whatever the replicate count.
         cfg = write_config(tmp_path / "c.yaml", **tiny_entries(bootstrap_samples=10**12, replications=2, **overrides))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command, overrides", [("mse-grid", dict()), ("coverage-grid", dict(alpha=0.9, x=None, ref_value=None))], ids=["mse-grid", "coverage-grid"])
+    def test_reference_chunk_charged_only_when_simulated(self, tmp_path, command, overrides):
+        # Neither run simulates a reference, so n = 12000 asks for no 10**4 x n chunk of series.
+        cfg = write_config(tmp_path / "c.yaml", **tiny_entries(n=12000, grid={"cells": [[2, 3]]}, replications=1, **overrides))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_bootstrap_samples_past_float64_counts_exit_2(self, tmp_path, capsys):

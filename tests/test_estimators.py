@@ -285,3 +285,10 @@ class TestLowerConfidenceBound:
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError):
                 lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, alpha, 50, substream(1))
+
+    def test_n_boot_past_float64_counts_raises(self):
+        # Past 2**53 betaincinv returns NaN levels, which would put every bound at the largest observation.
+        values = substream(40).standard_normal(20)
+        assert np.isfinite(lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, 0.5, 2**53, substream(1))).all()
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, 0.5, 2**53 + 1, substream(1))

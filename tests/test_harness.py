@@ -86,6 +86,13 @@ class TestGridSpec:
             GridSpec(cells=()).plans(50)
 
 
+class TestExperimentConfig:
+    def test_n_boot_past_float64_counts_raises(self):
+        assert ExperimentConfig(model=arma11_model(), n_boot=2**53).n_boot == 2**53
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            ExperimentConfig(model=arma11_model(), n_boot=2**53 + 1)
+
+
 class TestReferenceValue:
     def test_constant_model_exact(self):
         ref = reference_value(constant_model(1.0), 10, "quantile", x=0.5, n_sims=500, seed=1)
