@@ -15,6 +15,8 @@ end-to-end metric that ``BENCHMARK.json`` declares, the output holds each
 side's runs, median and quartiles, the change's median relative to the
 parent's, and the share of pairs the change wins (ties count for neither),
 plus the failed and attempted rounds and the environment ``run.py`` prints.
+Each workload's ``worse`` lists the metrics whose change median is worse than
+the parent's by more than the metric's ``bound``; it is also printed to stderr.
 ``src_lines`` holds each side's physical lines of ``src/**/*.py``, counted as
 ``wc -l`` counts them.
 """
@@ -81,6 +83,11 @@ def summarise(metric: dict, parent: list[dict], change: list[dict]) -> dict:
     return summary
 
 
+def worse(metrics: dict) -> list[str]:
+    """Names of the ``summarise`` outputs whose change median is worse than the parent's by more than their ``bound``."""
+    return [name for name, summary in metrics.items() if summary["change_vs_parent"] * (1 if summary["better"] == "lower" else -1) > summary["bound"]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
@@ -113,6 +120,8 @@ def main(argv=None) -> int:
                 "attempted_rounds": {side: sum(run["attempted"] for run in runs[side]) for side in runs},
                 "metrics": {metric["name"]: summarise(metric, runs["parent"], runs["change"]) for metric in declared["end_to_end"]},
             }
+            flagged = out["workloads"][workload]["worse"] = worse(out["workloads"][workload]["metrics"])
+            print(f"{workload} worse than the parent past the bound: {flagged or 'none'}", file=sys.stderr, flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

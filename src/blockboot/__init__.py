@@ -18,7 +18,7 @@ from .empirical import (
     order_stat_index,
     sample_quantile,
 )
-from .estimators import cdf_deviation_prob, quantile_deviation_prob
+from .estimators import cdf_deviation_prob, lower_bounds_cover, quantile_deviation_prob
 from .models import (
     MODEL_NAMES,
     ModelSpec,
@@ -74,6 +74,7 @@ __all__ = [
     "draw_block_starts",
     "empirical_cdf",
     "exact_quantile_distribution",
+    "lower_bounds_cover",
     "model_from_name",
     "order_stat_index",
     "paste_blocks",

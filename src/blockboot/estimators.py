@@ -11,7 +11,9 @@ observations for the first whose exact ``G`` reaches a level
 (``bisect.bisect_left``) and pastes nothing: the level is ``alpha`` for the exact
 law; for ``B`` replicates it is the ``k``-th of ``B`` uniform order
 statistics, one ``Beta(k, B - k + 1)`` draw per plan, so the bound is the
-pasting definition's ``k``-th order statistic in law.
+pasting definition's ``k``-th order statistic in law.  Whether a bound covers
+a value needs no search: the observations whose bound misses it are the
+smallest ones, so one tail per plan, at the last of them, decides.
 
 A grid call returns one value per plan, in order, with the center and window
 counts computed once per block length; the singular functions are one-plan calls.
@@ -29,6 +31,7 @@ from .resample import ResamplePlan, _check_plan, count_sum_tail, window_counts
 from .seeding import substream
 
 __all__ = [
+    "lower_bounds_cover",
     "lower_confidence_bounds",
     "quantile_deviation_prob",
     "quantile_deviation_probs",
@@ -45,10 +48,42 @@ def _by_block_length(n: int, plans) -> dict:
     return groups
 
 
+def _check_draws(n_boot, rng) -> None:
+    """Raise ``ValueError`` unless ``n_boot`` replicates are at least one and ``rng`` is there to draw them."""
+    if n_boot < 1:
+        raise ValueError("n_boot must be a positive number of bootstrap replicates")
+    if rng is None:
+        raise ValueError("rng is required when n_boot is given")
+
+
 def _monte_carlo(weights, n_boot, rng) -> np.ndarray:
     """``weights`` when exact (``n_boot=None``); else ``Binomial(n_boot, G) / n_boot`` per weight, in order, from ``rng``."""
+    if n_boot is None:
+        return weights
+    _check_draws(n_boot, rng)
     # Clip only the binomial's argument: a tail sum may exceed 1 in the last bit, and exact values must not move.
-    return weights if n_boot is None else rng.binomial(n_boot, np.clip(weights, 0.0, 1.0)) / n_boot
+    return rng.binomial(n_boot, np.clip(weights, 0.0, 1.0)) / n_boot
+
+
+def _levels(count: int, alpha: float, n_boot, rng) -> np.ndarray:
+    """The bound's level for each of ``count`` plans: ``alpha`` less the rounding guard, or beta draws in plan order."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if n_boot is None:
+        # The guard absorbs the rounding of the exact tail weights.
+        return np.full(count, alpha * (1.0 - _INDEX_GUARD))
+    _check_draws(n_boot, rng)
+    if n_boot > 2**53:  # past it betaincinv returns NaN levels, which no observation reaches
+        raise ValueError("n_boot must be at most 2**53, the largest count a float64 holds exactly")
+    from scipy.special import betaincinv  # imported here, as in models: scipy.special is slow to import
+
+    k = order_stat_index(n_boot, alpha)
+    return betaincinv(k, n_boot - k + 1, rng.random(count))
+
+
+def _bound(q_hat, m, v, center, n):
+    """The bound at observation ``v`` for ``m = b*ell``: one float expression for the bound and for its coverage."""
+    return q_hat - np.sqrt(m) * (v - center) / np.sqrt(n)
 
 
 def _rng(rp: ResamplePlan):
@@ -102,19 +137,12 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
     ``k = order_stat_index(n_boot, alpha)``, drawn per plan in plan order from ``rng`` by inverting one uniform, so a
     bound is the ``k``-th of ``n_boot`` draws from ``G``: in law ``bootstrap_quantile_distribution(...).quantile(alpha)``,
     and monotone in ``alpha`` for a fixed generator.  An ``n_boot`` over ``2**53`` raises ``ValueError``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if n_boot is None:
-        # The guard absorbs the rounding of the exact tail weights.
-        levels = np.full(len(plans), alpha * (1.0 - _INDEX_GUARD))
-    else:
-        if n_boot > 2**53:  # past it betaincinv returns NaN levels, which no observation reaches
-            raise ValueError("n_boot must be at most 2**53, the largest count a float64 holds exactly")
-        from scipy.special import betaincinv  # imported here, as in models: scipy.special is slow to import
 
-        k = order_stat_index(n_boot, alpha)
-        levels = betaincinv(k, n_boot - k + 1, rng.random(len(plans)))
+    The searches of a block length share their probes, and keep each probed window-count row until that block length
+    is done: up to ``min(n - 1, cells * ceil(log2(n)))`` rows of ``n`` int64, ``cells`` the plans at that length.
+    :func:`lower_bounds_cover` answers coverage from one row per plan.
+    """
+    levels = _levels(len(plans), alpha, n_boot, rng)
     values = as_values(series)
     ordered = np.sort(values)
     q_hat = ordered[order_stat_index(values.size, p) - 1]
@@ -126,7 +154,30 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
             k = order_stat_index(plan.total_length, p)
             # Midpoint probes tolerate tails not monotone in j to the last bit; a float key beats a numpy-bool one.
             g = bisect.bisect_left(range(values.size - 1), levels[i], key=lambda j: count_sum_tail(counts_at(j), plan, k))
-            out[i] = q_hat - np.sqrt(plan.total_length) * (ordered[g] - center) / np.sqrt(values.size)
+            out[i] = _bound(q_hat, plan.total_length, ordered[g], center, values.size)
+    return out
+
+
+def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: int | None = None, rng=None) -> np.ndarray:
+    """Whether ``q >= lower_confidence_bounds(series, plans, p, alpha, n_boot, rng)``, per plan, from the same draws.
+
+    No search: the bound falls as the observation rises, rounding included, so the observations whose bound misses
+    ``q`` are those at or below the last of them, and the search ends past it exactly when the tail ``G`` there is
+    below the plan's level.  One window count per block length and one tail per plan; a NaN ``q`` raises ``ValueError``.
+    """
+    if np.isnan(q):
+        raise ValueError("q must not be NaN")
+    levels = _levels(len(plans), alpha, n_boot, rng)
+    values = as_values(series)
+    q_hat = np.sort(values)[order_stat_index(values.size, p) - 1]
+    out = np.empty(len(plans), dtype=bool)
+    for ell, cells in _by_block_length(values.size, plans).items():
+        center = block_averaged_quantile(values, ell, p)
+        m = np.array([[plan.total_length] for _, plan in cells])
+        rows = window_counts(q < _bound(q_hat, m, values, center, values.size), ell)  # the observations each bound misses
+        for (i, plan), row in zip(cells, rows):
+            # With no observation missing, the bound covers at any level, a zero one included.
+            out[i] = not row.any() or count_sum_tail(row, plan, order_stat_index(plan.total_length, p)) < levels[i]
     return out
 
 

@@ -5,10 +5,12 @@ series, evaluate a bootstrap estimator on each over a grid of block plans
 (one :mod:`~blockboot.estimators` call per series), and aggregate per-cell
 metrics against a reference value obtained from a separate massive
 simulation.  The three surfaces (MSE, CDF MSE, coverage) share one driver
-and differ only in the per-replication quantity.  Seeding is hierarchical:
-each replication's series and the one generator its estimates (point
-estimates or bounds) draw from in plan order derive from the master seed and
-the replication alone: bit-identical for any worker count.
+and differ only in the per-replication quantity; the coverage surface reads
+whether each bound covers from one exact tail per cell, never the bound
+itself.  Seeding is hierarchical: each replication's series and the one
+generator its estimates (point estimates or bound levels) draw from in plan
+order derive from the master seed and the replication alone: bit-identical
+for any worker count.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__, empirical, models, seeding
 from .empirical import order_stat_index
-from .estimators import cdf_deviation_probs, lower_confidence_bounds, quantile_deviation_probs
+from .estimators import cdf_deviation_probs, lower_bounds_cover, quantile_deviation_probs
 from .models import ModelSpec, simulate_batch
 from .resample import BlockPlan
 from .seeding import subseed, substream
@@ -359,7 +361,7 @@ def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
 
 def _coverage_rep(cfg, series, rep, plans, q_true):
     # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
-    hits = (q_true >= lower_confidence_bounds(series, plans, cfg.p, cfg.alpha, *_point_draws(cfg, rep))).astype(np.int64)
+    hits = lower_bounds_cover(series, plans, cfg.p, cfg.alpha, q_true, *_point_draws(cfg, rep)).astype(np.int64)
     return hits, hits
 
 

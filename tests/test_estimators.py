@@ -10,6 +10,7 @@ from blockboot import estimators, resample
 from blockboot.estimators import (
     cdf_deviation_prob,
     cdf_deviation_probs,
+    lower_bounds_cover,
     lower_confidence_bounds,
     quantile_deviation_prob,
     quantile_deviation_probs,
@@ -139,6 +140,8 @@ class TestGridCalls:
         assert list(got) == [cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, shared)[0] for plan in plans]
         got, shared = lower_confidence_bounds(values, plans, 0.4, 0.9, n_boot, substream(100)), substream(100)
         assert list(got) == [lower_confidence_bounds(values, [plan], 0.4, 0.9, n_boot, shared)[0] for plan in plans]
+        got, shared = lower_bounds_cover(values, plans, 0.4, 0.9, 0.0, n_boot, substream(100)), substream(100)
+        assert list(got) == [lower_bounds_cover(values, [plan], 0.4, 0.9, 0.0, n_boot, shared)[0] for plan in plans]
 
     @pytest.mark.parametrize("n_boot", [250, None])
     def test_one_plan_calls_draw_from_the_plan_seed(self, n_boot):
@@ -162,6 +165,22 @@ class TestGridCalls:
             cdf_deviation_probs(values, self.grid() + [BlockPlan(1, self.N + 1)], 0.0, 0.0)
         with pytest.raises(ValueError):
             lower_confidence_bounds(values, self.grid(), 0.5, 1.0, 10, substream(0))
+
+    def test_draw_arguments_are_checked(self):
+        values = substream(69).standard_normal(self.N)
+        calls = {
+            "quantile_deviation_probs": lambda n_boot, rng: quantile_deviation_probs(values, self.grid(), 0.5, 0.3, n_boot, rng),
+            "cdf_deviation_probs": lambda n_boot, rng: cdf_deviation_probs(values, self.grid(), 0.1, -0.2, n_boot, rng),
+            "lower_confidence_bounds": lambda n_boot, rng: lower_confidence_bounds(values, self.grid(), 0.4, 0.9, n_boot, rng),
+            "lower_bounds_cover": lambda n_boot, rng: lower_bounds_cover(values, self.grid(), 0.4, 0.9, 0.0, n_boot, rng),
+        }
+        for name, call in calls.items():
+            for n_boot in (0, -5):
+                with pytest.raises(ValueError, match="n_boot"):
+                    call(n_boot, substream(1))
+            with pytest.raises(ValueError, match="rng"):
+                call(10, None)
+            assert call(1, substream(1)).shape == call(None, None).shape == (len(self.PLANS),), name
 
     @pytest.mark.parametrize("n_boot", [10, None])
     def test_cdf_point_extremes(self, n_boot):
@@ -292,3 +311,41 @@ class TestLowerConfidenceBound:
         assert np.isfinite(lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, 0.5, 2**53, substream(1))).all()
         with pytest.raises(ValueError, match=r"2\*\*53"):
             lower_confidence_bounds(values, [BlockPlan(2, 3)], 0.5, 0.5, 2**53 + 1, substream(1))
+
+
+class TestLowerBoundsCover:
+    """Coverage read from one tail per plan is the search's coverage, entry for entry, on the same draws."""
+
+    N = 40
+    PLANS = [BlockPlan(b, ell) for ell in (1, 2, 5, 8, 40) for b in (1, 2, 3, 5, 8) if b * ell <= 40] + [BlockPlan(20, 2)]
+
+    @pytest.mark.parametrize("n_boot", [None, 40, 2000])
+    def test_equals_coverage_of_the_bound(self, n_boot):
+        raw = substream(70).standard_normal(self.N)
+        # Raw, tied (rounded to 0.5) and constant series; q off and on an observation.
+        for form in (raw, np.round(raw * 2) / 2, np.full(self.N, 0.25)):
+            for q in (0.0, float(form[3]), float(np.sort(form)[self.N // 2])):
+                for alpha in (0.1, 0.9, 0.95):
+                    for seed in range(3):
+                        got = lower_bounds_cover(form, self.PLANS, 0.5, alpha, q, n_boot, substream(71, seed))
+                        bounds = lower_confidence_bounds(form, self.PLANS, 0.5, alpha, n_boot, substream(71, seed))
+                        assert got.dtype == bool and list(got) == list(q >= bounds)
+
+    def test_extremes_and_checks(self):
+        values = substream(72).standard_normal(self.N)
+        assert lower_bounds_cover(values, self.PLANS, 0.5, 0.9, math.inf, 50, substream(1)).all()
+        assert not lower_bounds_cover(values, self.PLANS, 0.5, 0.9, -math.inf, 50, substream(1)).any()
+        assert lower_bounds_cover(values, [], 0.5, 0.9, 0.0).shape == (0,)
+        with pytest.raises(ValueError, match="NaN"):
+            lower_bounds_cover(values, self.PLANS, 0.5, 0.9, math.nan)
+        with pytest.raises(ValueError, match="alpha"):
+            lower_bounds_cover(values, self.PLANS, 0.5, 1.0, 0.0, 50, substream(1))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            lower_bounds_cover(values, self.PLANS, 0.5, 0.5, 0.0, 2**53 + 1, substream(1))
+
+    def test_reads_one_tail_per_plan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "count_sum_tail", lambda *args: calls.append(args) or resample.count_sum_tail(*args))
+        values = substream(73).standard_normal(self.N)
+        lower_bounds_cover(values, self.PLANS, 0.5, 0.9, float(np.median(values)), 2000, substream(2))
+        assert 0 < len(calls) <= len(self.PLANS)
