@@ -12,7 +12,6 @@ import numpy as np
 
 from blockboot import (
     BlockPlan,
-    ResamplePlan,
     arma11_model,
     bootstrap_quantile_distribution,
     draw_block_starts,
@@ -35,8 +34,7 @@ print(f"block starts {starts.tolist()} -> pseudo-series of length {pseudo.size}"
 print(f"pseudo-series median = {sample_quantile(pseudo, 0.5):+.4f}")
 
 # The Monte Carlo distribution of sqrt(b*ell) * (resampled median - centering median).
-rp = ResamplePlan(plan, n_boot=5000, seed=123)
-dist = bootstrap_quantile_distribution(series, rp, p=0.5)
+dist = bootstrap_quantile_distribution(series, plan, p=0.5, n_boot=5000, rng=substream(123))
 print(f"\nbootstrap distribution: {dist.values.size} atoms from {dist.total} replicates")
 for alpha in (0.05, 0.5, 0.95):
     print(f"  quantile({alpha:.2f}) = {dist.quantile(alpha):+.4f}")
@@ -44,7 +42,7 @@ for alpha in (0.05, 0.5, 0.95):
 # The same machinery spans subsampling (1 block) through the moving block
 # bootstrap (floor(n/ell) blocks); only the plan changes.
 for label, p2 in [("subsampling", BlockPlan(1, 8)), ("hybrid", plan), ("mbb", BlockPlan.mbb(series.size, 8))]:
-    d = bootstrap_quantile_distribution(series, ResamplePlan(p2, 5000, 123), 0.5)
+    d = bootstrap_quantile_distribution(series, p2, 0.5, 5000, substream(123))
     print(f"  {label:11s} (b={p2.n_blocks:3d}, ell={p2.block_length}): sd of atoms = {np.sqrt(np.cov(d.values, fweights=d.counts)):.4f}")
 
 # The exact conditional law, as integer multiplicities over the equally
@@ -52,7 +50,7 @@ for label, p2 in [("subsampling", BlockPlan(1, 8)), ("hybrid", plan), ("mbb", Bl
 tiny = simulate(arma11_model(), n=9, seed=11)
 tiny_plan = BlockPlan(2, 3)
 exact = exact_quantile_distribution(tiny, tiny_plan, p=0.5)
-mc = bootstrap_quantile_distribution(tiny, ResamplePlan(tiny_plan, 100_000, 5), p=0.5)
+mc = bootstrap_quantile_distribution(tiny, tiny_plan, p=0.5, n_boot=100_000, rng=substream(5))
 print(f"\ntiny instance: {exact.total} equally likely start tuples, {exact.values.size} distinct atoms")
 worst = max(abs(mc.cdf(v) - q) for v, q in zip(exact.values, np.cumsum(exact.counts) / exact.total))
 print(f"largest |MC - exact| CDF gap over the atoms: {worst:.4f}")

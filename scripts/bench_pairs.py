@@ -16,7 +16,10 @@ side's runs, median and quartiles, the change's median relative to the
 parent's, and the share of pairs the change wins (ties count for neither),
 plus the failed and attempted rounds and the environment ``run.py`` prints.
 Each workload's ``worse`` lists the metrics whose change median is worse than
-the parent's by more than the metric's ``bound``; it is also printed to stderr.
+the parent's by more than the metric's ``bound``.  Its ``unresolved`` lists the
+metrics too noisy to judge: the parent's interquartile range exceeds ``bound``
+times the parent's median, and not every change run beats every parent run.
+Both lists are also printed to stderr.
 ``src_lines`` holds each side's physical lines of ``src/**/*.py``, counted as
 ``wc -l`` counts them.
 """
@@ -88,6 +91,18 @@ def worse(metrics: dict) -> list[str]:
     return [name for name, summary in metrics.items() if summary["change_vs_parent"] * (1 if summary["better"] == "lower" else -1) > summary["bound"]]
 
 
+def unresolved(metrics: dict) -> list[str]:
+    """Names of the ``summarise`` outputs whose parent IQR exceeds ``bound`` times the parent median, unless every
+    change run beats every parent run."""
+    names = []
+    for name, summary in metrics.items():
+        before, after = summary["parent"]["runs"], summary["change"]["runs"]
+        separated = max(after) < min(before) if summary["better"] == "lower" else min(after) > max(before)
+        if summary["parent_iqr"] > summary["bound"] * summary["parent"]["median"] and not separated:
+            names.append(name)
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
@@ -120,8 +135,9 @@ def main(argv=None) -> int:
                 "attempted_rounds": {side: sum(run["attempted"] for run in runs[side]) for side in runs},
                 "metrics": {metric["name"]: summarise(metric, runs["parent"], runs["change"]) for metric in declared["end_to_end"]},
             }
-            flagged = out["workloads"][workload]["worse"] = worse(out["workloads"][workload]["metrics"])
-            print(f"{workload} worse than the parent past the bound: {flagged or 'none'}", file=sys.stderr, flush=True)
+            summary = out["workloads"][workload]
+            flagged, noisy = summary["worse"], summary["unresolved"] = worse(summary["metrics"]), unresolved(summary["metrics"])
+            print(f"{workload} worse than the parent past the bound: {flagged or 'none'}; unresolved: {noisy or 'none'}", file=sys.stderr, flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)

@@ -18,7 +18,7 @@ from .empirical import (
     order_stat_index,
     sample_quantile,
 )
-from .estimators import cdf_deviation_prob, lower_bounds_cover, quantile_deviation_prob
+from .estimators import cdf_deviation_probs, lower_bounds_cover, lower_confidence_bounds, quantile_deviation_probs
 from .models import (
     MODEL_NAMES,
     ModelSpec,
@@ -33,7 +33,6 @@ from .models import (
 from .resample import (
     BlockPlan,
     EmpiricalDistribution,
-    ResamplePlan,
     ResourceLimitError,
     bootstrap_quantile_distribution,
     cdf_statistic,
@@ -59,7 +58,6 @@ __all__ = [
     "MODEL_NAMES",
     "ModelSpec",
     "NoFeasiblePlanError",
-    "ResamplePlan",
     "ResourceLimitError",
     "SelectionResult",
     "TuneConfig",
@@ -68,19 +66,20 @@ __all__ = [
     "block_averaged_quantile",
     "block_weights",
     "bootstrap_quantile_distribution",
-    "cdf_deviation_prob",
+    "cdf_deviation_probs",
     "cdf_statistic",
     "constant_model",
     "draw_block_starts",
     "empirical_cdf",
     "exact_quantile_distribution",
     "lower_bounds_cover",
+    "lower_confidence_bounds",
     "model_from_name",
     "order_stat_index",
     "paste_blocks",
     "plan_from_constants",
     "poly_mixing_model",
-    "quantile_deviation_prob",
+    "quantile_deviation_probs",
     "quantile_statistic",
     "sample_quantile",
     "select_plan",

@@ -16,7 +16,7 @@ a value needs no search: the observations whose bound misses it are the
 smallest ones, so one tail per plan, at the last of them, decides.
 
 A grid call returns one value per plan, in order, with the center and window
-counts computed once per block length; the singular functions are one-plan calls.
+counts computed once per block length, and draws only from the ``rng`` passed.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ import functools
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index
-from .resample import ResamplePlan, _check_plan, count_sum_tail, window_counts
-from .seeding import substream
+from .resample import _check_draws, _check_plan, count_sum_tail, window_counts
 
 __all__ = [
     "lower_bounds_cover",
     "lower_confidence_bounds",
-    "quantile_deviation_prob",
     "quantile_deviation_probs",
-    "cdf_deviation_prob",
     "cdf_deviation_probs",
 ]
 
@@ -48,12 +45,11 @@ def _by_block_length(n: int, plans) -> dict:
     return groups
 
 
-def _check_draws(n_boot, rng) -> None:
-    """Raise ``ValueError`` unless ``n_boot`` replicates are at least one and ``rng`` is there to draw them."""
-    if n_boot < 1:
-        raise ValueError("n_boot must be a positive number of bootstrap replicates")
-    if rng is None:
-        raise ValueError("rng is required when n_boot is given")
+def _check_points(**points) -> None:
+    """Raise ``ValueError`` naming the first evaluation point that is NaN; infinities pass."""
+    for name, value in points.items():
+        if np.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
 
 
 def _monte_carlo(weights, n_boot, rng) -> np.ndarray:
@@ -86,17 +82,13 @@ def _bound(q_hat, m, v, center, n):
     return q_hat - np.sqrt(m) * (v - center) / np.sqrt(n)
 
 
-def _rng(rp: ResamplePlan):
-    """Generator seeded by ``rp.seed``; none for the exact law."""
-    return None if rp.n_boot is None else substream(rp.seed)
-
-
 def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | None = None, rng=None) -> np.ndarray:
     """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``plans``.
 
-    Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around the exact ``G`` of each plan, drawn in
-    plan order from ``rng``: the law of ``bootstrap_quantile_distribution(...).cdf(x)`` at ``n_boot`` replicates.
+    Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around each plan's exact ``G``, drawn in plan order
+    from ``rng``: in law ``bootstrap_quantile_distribution(...).cdf(x)``.  A NaN ``x`` raises ``ValueError``.
     """
+    _check_points(x=x)
     values = as_values(series)
     out = np.empty(len(plans))
     for ell, cells in _by_block_length(values.size, plans).items():
@@ -114,8 +106,9 @@ def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = 
     That is ``sqrt(b*ell) * (F*(x) - Ftilde(x)) <= y``, exact or drawn as in :func:`quantile_deviation_probs`: the law
     of the share of ``n_boot`` sequential :func:`~blockboot.resample.cdf_statistic` calls at or below ``y``.
     It counts the complement, at least ``m - floor(center*m + y*sqrt(m))`` of the ``m = b*ell`` values above ``x``;
-    a NaN ``y`` raises ``ValueError``.
+    a NaN ``x`` or ``y`` raises ``ValueError``.
     """
+    _check_points(x=x, y=y)
     values = as_values(series)
     out = np.empty(len(plans))
     for ell, cells in _by_block_length(values.size, plans).items():
@@ -165,8 +158,7 @@ def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: 
     ``q`` are those at or below the last of them, and the search ends past it exactly when the tail ``G`` there is
     below the plan's level.  One window count per block length and one tail per plan; a NaN ``q`` raises ``ValueError``.
     """
-    if np.isnan(q):
-        raise ValueError("q must not be NaN")
+    _check_points(q=q)
     levels = _levels(len(plans), alpha, n_boot, rng)
     values = as_values(series)
     q_hat = np.sort(values)[order_stat_index(values.size, p) - 1]
@@ -179,13 +171,3 @@ def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: 
             # With no observation missing, the bound covers at any level, a zero one included.
             out[i] = not row.any() or count_sum_tail(row, plan, order_stat_index(plan.total_length, p)) < levels[i]
     return out
-
-
-def quantile_deviation_prob(series, rp: ResamplePlan, p: float, x: float) -> float:
-    """Bootstrap probability that the scaled quantile deviation is ``<= x``: :func:`quantile_deviation_probs` for one plan."""
-    return float(quantile_deviation_probs(series, (rp.plan,), p, x, rp.n_boot, _rng(rp))[0])
-
-
-def cdf_deviation_prob(series, rp: ResamplePlan, x: float, y: float) -> float:
-    """Bootstrap probability that the scaled resampled-CDF deviation at ``x`` is ``<= y``: :func:`cdf_deviation_probs` for one plan."""
-    return float(cdf_deviation_probs(series, (rp.plan,), x, y, rp.n_boot, _rng(rp))[0])

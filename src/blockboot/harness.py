@@ -113,6 +113,9 @@ class GridSpec:
     cells: tuple | None = None
 
     def __post_init__(self):
+        for name in ("b_min", "ell_min", "ell_step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.b_min > self.b_max or self.ell_min > self.ell_max:
             raise ValueError("b and ell ranges must run from low to high")
 

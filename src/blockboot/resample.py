@@ -15,9 +15,9 @@ counts of values at or below it (:func:`window_counts`) sum to ``ceil(b*ell*p)``
 or more.  Every estimate reads that one answer, :func:`count_sum_tail`, the
 exact probability of that event given the series; a Monte Carlo point
 estimate draws its count of hits from it as a binomial, and a Monte Carlo
-bound its level as a beta order statistic.  The functions that
-paste blocks are the definitions it is tested against, in law for the point
-estimates and for the percentile bound.
+bound its level as a beta order statistic.  The functions that paste blocks
+are the definitions it is tested against, in law for the point estimates and
+for the percentile bound.  Every random function draws from a passed generator.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index
-from .seeding import substream
 
 __all__ = [
     "BlockPlan",
-    "ResamplePlan",
     "EmpiricalDistribution",
     "ResourceLimitError",
     "draw_block_starts",
@@ -73,19 +71,6 @@ class BlockPlan:
     def mbb(cls, n: int, block_length: int) -> "BlockPlan":
         """Moving-block-bootstrap plan, ``n_blocks = floor(n / block_length)``."""
         return cls(n // block_length, block_length)
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """A block plan with a replicate budget and seed; ``n_boot=None`` asks for the exact law."""
-
-    plan: BlockPlan
-    n_boot: int | None
-    seed: int
-
-    def __post_init__(self):
-        if self.n_boot is not None and self.n_boot < 1:
-            raise ValueError("n_boot must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -136,6 +121,14 @@ def _check_plan(n: int, plan: BlockPlan) -> tuple[int, int]:
     if plan.block_length > n:
         raise ValueError(f"block length {plan.block_length} exceeds series length {n}")
     return plan.n_blocks, plan.block_length
+
+
+def _check_draws(n_boot, rng) -> None:
+    """Raise ``ValueError`` unless ``n_boot`` replicates are at least one and ``rng`` is there to draw them."""
+    if n_boot < 1:
+        raise ValueError("n_boot must be a positive number of bootstrap replicates")
+    if rng is None:
+        raise ValueError("rng is required when n_boot is given")
 
 
 def draw_block_starts(rng: np.random.Generator, n: int, plan: BlockPlan) -> np.ndarray:
@@ -206,26 +199,25 @@ def count_sum_tail(counts, plan: BlockPlan, k: int) -> float:
     return law[k:].sum()
 
 
-def bootstrap_quantile_distribution(series, rp: ResamplePlan, p: float) -> EmpiricalDistribution:
-    """Monte Carlo distribution of the quantile statistic over ``rp.n_boot`` replicates.
+def bootstrap_quantile_distribution(series, plan: BlockPlan, p: float, n_boot: int, rng: np.random.Generator) -> EmpiricalDistribution:
+    """Monte Carlo distribution of the quantile statistic over ``n_boot`` replicates drawn from ``rng``.
 
     The block-averaged centering quantile is computed once and shared by all
     replicates.  Replicate ``j`` consumes draws ``j*b, ..., (j+1)*b - 1`` of
-    the stream seeded by ``rp.seed``, so the result is reproducible bit for
-    bit and identical to sequential :func:`quantile_statistic` calls on a
-    shared generator.
+    ``rng``, so the result is identical to ``n_boot`` sequential
+    :func:`quantile_statistic` calls on it.
     """
+    _check_draws(n_boot, rng)
     values = as_values(series)
-    b, ell = _check_plan(values.size, rp.plan)
+    b, ell = _check_plan(values.size, plan)
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
-    # Row j holds the starts of replicate j; row-major generation makes this
-    # identical to n_boot successive draw_block_starts calls on one stream.
-    starts = substream(rp.seed).integers(0, values.size - ell + 1, size=(rp.n_boot, b))
-    pasted = values[starts[:, :, None] + np.arange(ell)].reshape(rp.n_boot, b * ell)
+    # Row j holds replicate j's starts: row-major, as n_boot successive draw_block_starts calls draw them.
+    starts = rng.integers(0, values.size - ell + 1, size=(n_boot, b))
+    pasted = values[starts[:, :, None] + np.arange(ell)].reshape(n_boot, b * ell)
     stats = np.partition(pasted, k - 1, axis=1)[:, k - 1]
     atoms, counts = np.unique(np.sqrt(b * ell) * (stats - center), return_counts=True)
-    return EmpiricalDistribution(values=atoms, counts=counts, total=rp.n_boot)
+    return EmpiricalDistribution(values=atoms, counts=counts, total=n_boot)
 
 
 def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalDistribution:

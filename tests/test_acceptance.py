@@ -20,7 +20,6 @@ from blockboot.harness import ExperimentConfig, GridSpec, adaptive_study, mse_gr
 from blockboot.models import arma11_model, poly_mixing_model, squared_arma23_model
 from blockboot.resample import (
     BlockPlan,
-    ResamplePlan,
     bootstrap_quantile_distribution,
     exact_quantile_distribution,
 )
@@ -56,7 +55,7 @@ class TestCriterion1OracleEquivalence:
             values = rng.standard_normal(n)
             assert (n - ell + 1) ** b <= 10**4
             exact = exact_quantile_distribution(values, BlockPlan(b, ell), p)
-            mc = bootstrap_quantile_distribution(values, ResamplePlan(BlockPlan(b, ell), n_boot, 9000 + instance), p)
+            mc = bootstrap_quantile_distribution(values, BlockPlan(b, ell), p, n_boot, substream(9000 + instance))
             exact_cdf = np.cumsum(exact.counts) / exact.total
             for atom, q in zip(exact.values, exact_cdf):
                 tol = 3 * math.sqrt(q * (1 - q) / n_boot)
@@ -88,7 +87,7 @@ class TestCriterion2ReductionIdentities:
             p = int(rng.integers(1, 10)) / 10
             plan = BlockPlan(1, ell)
             exact = exact_quantile_distribution(values, plan, p)
-            mc = bootstrap_quantile_distribution(values, ResamplePlan(plan, 500, 400 + trial), p)
+            mc = bootstrap_quantile_distribution(values, plan, p, 500, substream(400 + trial))
             assert set(mc.values).issubset(set(exact.values))
             assert exact.total == n - ell + 1
         report(2, True, "single-block Monte Carlo support lies in the n-ell+1 block statistics")
@@ -341,22 +340,21 @@ class TestCriterion9InvariantSuite:
             b = int(rng.integers(1, 5))
             values = rng.standard_normal(n)
             scale = float(rng.uniform(0.1, 5.0))
-            rp = ResamplePlan(BlockPlan(b, min(ell, n)), 40, 7000 + trial)
-            base = bootstrap_quantile_distribution(values, rp, 0.5)
-            scaled = bootstrap_quantile_distribution(scale * values, rp, 0.5)
+            plan = BlockPlan(b, min(ell, n))
+            base = bootstrap_quantile_distribution(values, plan, 0.5, 40, substream(7000 + trial))
+            scaled = bootstrap_quantile_distribution(scale * values, plan, 0.5, 40, substream(7000 + trial))
             assert np.array_equal(scaled.counts, base.counts)
             assert scaled.values == pytest.approx(scale * base.values, rel=1e-12, abs=1e-12)
             cases += 1
 
-        from blockboot.estimators import cdf_deviation_prob, quantile_deviation_prob
+        from blockboot.estimators import cdf_deviation_probs, quantile_deviation_probs
 
         for trial in range(100):  # estimated probabilities stay in [0, 1]
             n = int(rng.integers(10, 40))
             values = rng.standard_normal(n)
             plan = BlockPlan(int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-            rp = ResamplePlan(plan, 50, 8000 + trial)
-            g = quantile_deviation_prob(values, rp, 0.5, float(rng.standard_normal()))
-            c = cdf_deviation_prob(values, rp, float(rng.standard_normal()), float(rng.standard_normal()))
+            (g,) = quantile_deviation_probs(values, [plan], 0.5, float(rng.standard_normal()), 50, substream(8000 + trial))
+            (c,) = cdf_deviation_probs(values, [plan], float(rng.standard_normal()), float(rng.standard_normal()), 50, substream(8000 + trial))
             assert 0.0 <= g <= 1.0
             assert 0.0 <= c <= 1.0
             cases += 1

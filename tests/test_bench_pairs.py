@@ -44,3 +44,28 @@ def test_worse_flags_metrics_past_their_bound(wall, items, flagged):
     parent, change = runs([1.0] * 3, [100] * 3), runs(wall, items)
     metrics = {metric["name"]: bench_pairs.summarise(metric, parent, change) for metric in (WALL, ITEMS)}
     assert bench_pairs.worse(metrics) == flagged
+
+
+@pytest.mark.parametrize(
+    ("parent_wall", "change_wall", "flagged"),
+    [
+        ([1.0, 1.0, 1.0, 1.0], [1.5, 0.5, 1.0, 1.2], []),  # a steady parent resolves any change
+        ([1.0, 1.1, 0.9, 1.05], [1.3, 1.3, 1.3, 1.3], []),  # IQR/median 0.09 is within the 0.2 bound
+        ([0.6, 1.0, 1.4, 1.8], [1.0, 1.1, 0.9, 1.2], ["wall_cal"]),  # IQR/median 0.5 and the runs overlap
+        ([0.6, 1.0, 1.4, 1.8], [0.3, 0.4, 0.5, 0.55], []),  # as noisy, but every change run beats every parent run
+        ([0.6, 1.0, 1.4, 1.8], [0.3, 0.4, 0.5, 0.6], ["wall_cal"]),  # a tie with the best parent run is not a win
+    ],
+)
+def test_unresolved_flags_noisy_parents_unless_the_runs_separate(parent_wall, change_wall, flagged):
+    parent, change = runs(parent_wall, [100] * 4), runs(change_wall, [100] * 4)
+    metrics = {metric["name"]: bench_pairs.summarise(metric, parent, change) for metric in (WALL, ITEMS)}
+    assert bench_pairs.unresolved(metrics) == flagged
+
+
+def test_unresolved_reads_the_direction_of_better():
+    # items_per_cal is better higher: a noisy parent is resolved only when every change run is above every parent run.
+    parent = runs([1.0] * 4, [60, 100, 140, 180])
+    metrics = {"items_per_cal": bench_pairs.summarise(ITEMS, parent, runs([1.0] * 4, [190, 200, 210, 220]))}
+    assert bench_pairs.unresolved(metrics) == []
+    metrics = {"items_per_cal": bench_pairs.summarise(ITEMS, parent, runs([1.0] * 4, [10, 20, 30, 40]))}
+    assert bench_pairs.unresolved(metrics) == ["items_per_cal"]

@@ -7,18 +7,10 @@ import pytest
 
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
-from blockboot.estimators import (
-    cdf_deviation_prob,
-    cdf_deviation_probs,
-    lower_bounds_cover,
-    lower_confidence_bounds,
-    quantile_deviation_prob,
-    quantile_deviation_probs,
-)
+from blockboot.estimators import cdf_deviation_probs, lower_bounds_cover, lower_confidence_bounds, quantile_deviation_probs
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
-    ResamplePlan,
     bootstrap_quantile_distribution,
     cdf_statistic,
     exact_quantile_distribution,
@@ -48,10 +40,10 @@ class TestDistributionQueries:
     def test_quantile_is_order_statistic(self):
         rng = substream(32)
         values = rng.standard_normal(40)
-        rp = ResamplePlan(BlockPlan(3, 5), 257, 11)
-        dist = bootstrap_quantile_distribution(values, rp, 0.5)
+        plan = BlockPlan(3, 5)
+        dist = bootstrap_quantile_distribution(values, plan, 0.5, 257, substream(11))
         rng_seq = substream(11)
-        raw = np.sort([quantile_statistic(values, rp.plan, 0.5, rng_seq) for _ in range(257)])
+        raw = np.sort([quantile_statistic(values, plan, 0.5, rng_seq) for _ in range(257)])
         for alpha in (0.05, 0.33, 0.5, 0.9, 0.975):
             k = order_stat_index(257, alpha)
             assert dist.quantile(alpha) == raw[k - 1]
@@ -85,15 +77,15 @@ class TestFastPaths:
         values = substream(34).standard_normal(30)
         for b, ell, x in [(1, 4, 0.3), (3, 5, -0.2), (6, 2, 0.5)]:
             plan = BlockPlan(b, ell)
-            new = [quantile_deviation_prob(values, ResamplePlan(plan, 40, seed), 0.5, x) for seed in range(self.SEEDS)]
-            old = [bootstrap_quantile_distribution(values, ResamplePlan(plan, 40, 10**6 + seed), 0.5).cdf(x) for seed in range(self.SEEDS)]
+            new = [quantile_deviation_probs(values, [plan], 0.5, x, 40, substream(seed))[0] for seed in range(self.SEEDS)]
+            old = [bootstrap_quantile_distribution(values, plan, 0.5, 40, substream(10**6 + seed)).cdf(x) for seed in range(self.SEEDS)]
             self.assert_same_law(new, old)
 
     def test_cdf_deviation_prob_matches_sequential_loop_in_law(self):
         values = substream(35).standard_normal(30)
         for b, ell, x, y in [(4, 3, 0.2, 0.4), (1, 6, -0.3, 0.0), (8, 2, 0.0, -0.5)]:
             plan = BlockPlan(b, ell)
-            new = [cdf_deviation_prob(values, ResamplePlan(plan, 40, seed), x, y) for seed in range(self.SEEDS)]
+            new = [cdf_deviation_probs(values, [plan], x, y, 40, substream(seed))[0] for seed in range(self.SEEDS)]
             old = []
             for seed in range(self.SEEDS):
                 rng = substream(10**6 + seed)
@@ -102,9 +94,9 @@ class TestFastPaths:
 
     def test_cdf_deviation_prob_saturates(self):
         values = substream(36).standard_normal(40)
-        rp = ResamplePlan(BlockPlan(5, 4), 100, 3)
-        assert cdf_deviation_prob(values, rp, 0.0, 1e6) == 1.0
-        assert cdf_deviation_prob(values, rp, 0.0, -1e6) == 0.0
+        plan = BlockPlan(5, 4)
+        assert cdf_deviation_probs(values, [plan], 0.0, 1e6, 100, substream(3))[0] == 1.0
+        assert cdf_deviation_probs(values, [plan], 0.0, -1e6, 100, substream(3))[0] == 0.0
 
     def test_cdf_deviation_prob_single_block_enumeration(self):
         values = substream(37).standard_normal(12)
@@ -113,8 +105,7 @@ class TestFastPaths:
         center = block_averaged_cdf(values, 4, x)
         atoms = np.array([2.0 * ((values[s : s + 4] <= x).mean() - center) for s in range(9)])
         exact = (atoms <= y).mean()
-        rp = ResamplePlan(plan, 50_000, 13)
-        got = cdf_deviation_prob(values, rp, x, y)
+        (got,) = cdf_deviation_probs(values, [plan], x, y, 50_000, substream(13))
         assert abs(got - exact) <= 3 * math.sqrt(exact * (1 - exact) / 50_000) + 1e-12
 
 
@@ -142,14 +133,6 @@ class TestGridCalls:
         assert list(got) == [lower_confidence_bounds(values, [plan], 0.4, 0.9, n_boot, shared)[0] for plan in plans]
         got, shared = lower_bounds_cover(values, plans, 0.4, 0.9, 0.0, n_boot, substream(100)), substream(100)
         assert list(got) == [lower_bounds_cover(values, [plan], 0.4, 0.9, 0.0, n_boot, shared)[0] for plan in plans]
-
-    @pytest.mark.parametrize("n_boot", [250, None])
-    def test_one_plan_calls_draw_from_the_plan_seed(self, n_boot):
-        values = substream(65).standard_normal(self.N)
-        for seed, plan in enumerate(self.grid()):
-            rp = ResamplePlan(plan, n_boot, seed)
-            assert quantile_deviation_prob(values, rp, 0.5, 0.3) == quantile_deviation_probs(values, [plan], 0.5, 0.3, n_boot, substream(seed))[0]
-            assert cdf_deviation_prob(values, rp, 0.1, -0.2) == cdf_deviation_probs(values, [plan], 0.1, -0.2, n_boot, substream(seed))[0]
 
     @pytest.mark.parametrize("n_boot", [10, 2000])
     def test_vectorised_binomial_equals_sequential_draws(self, n_boot):
@@ -216,7 +199,7 @@ class TestExactLaw:
             k = order_stat_index(b * ell, p)
             center = block_averaged_quantile(values, ell, p)
             expected = brute_force_prob(values.tolist(), b, ell, lambda pasted: math.sqrt(b * ell) * (sorted(pasted)[k - 1] - center) <= x)
-            got = quantile_deviation_prob(values, ResamplePlan(BlockPlan(b, ell), None, trial), p, x)
+            (got,) = quantile_deviation_probs(values, [BlockPlan(b, ell)], p, x)
             assert abs(got - expected) <= 1e-12
 
     def test_cdf_deviation_prob_matches_brute_force(self):
@@ -226,7 +209,7 @@ class TestExactLaw:
             x = float(rng.standard_normal())
             center = block_averaged_cdf(values, ell, x)
             expected = brute_force_prob(values.tolist(), b, ell, lambda pasted: math.sqrt(b * ell) * (sum(v <= x for v in pasted) / (b * ell) - center) <= y)
-            got = cdf_deviation_prob(values, ResamplePlan(BlockPlan(b, ell), None, trial), x, y)
+            (got,) = cdf_deviation_probs(values, [BlockPlan(b, ell)], x, y)
             assert abs(got - expected) <= 1e-12
 
     def test_lower_bound_matches_exact_distribution(self):
@@ -251,7 +234,7 @@ class TestLowerConfidenceBound:
         values = np.round(values * 2) if ties else values
         plans = [BlockPlan(1, 6), BlockPlan(3, 6), BlockPlan(2, n), BlockPlan(5, 3)]
         q_hat, seeds = sample_quantile(values, 0.4), range(TestFastPaths.SEEDS)
-        pasted = [[bootstrap_quantile_distribution(values, ResamplePlan(plan, n_boot, 10**6 + seed), 0.4) for seed in seeds] for plan in plans]
+        pasted = [[bootstrap_quantile_distribution(values, plan, 0.4, n_boot, substream(10**6 + seed)) for seed in seeds] for plan in plans]
         for alpha in (0.05, 0.5, 0.95):
             new = np.array([lower_confidence_bounds(values, plans, 0.4, alpha, n_boot, substream(seed)) for seed in seeds])
             for j, dists in enumerate(pasted):
@@ -342,6 +325,22 @@ class TestLowerBoundsCover:
             lower_bounds_cover(values, self.PLANS, 0.5, 1.0, 0.0, 50, substream(1))
         with pytest.raises(ValueError, match=r"2\*\*53"):
             lower_bounds_cover(values, self.PLANS, 0.5, 0.5, 0.0, 2**53 + 1, substream(1))
+
+    @pytest.mark.parametrize("n_boot", [None, 50])
+    def test_nan_points_raise_and_infinities_saturate(self, n_boot):
+        # Every grid call names the NaN evaluation point it was given, as lower_bounds_cover names q.
+        values, none, every = substream(74).standard_normal(self.N), [0.0] * len(self.PLANS), [1.0] * len(self.PLANS)
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            quantile_deviation_probs(values, self.PLANS, 0.5, math.nan, n_boot, substream(1))
+        for x, y, name in [(math.nan, 0.0, "x"), (0.0, math.nan, "y"), (math.nan, math.nan, "x")]:
+            with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+                cdf_deviation_probs(values, self.PLANS, x, y, n_boot, substream(1))
+        assert list(quantile_deviation_probs(values, self.PLANS, 0.5, math.inf, n_boot, substream(1))) == every
+        assert list(quantile_deviation_probs(values, self.PLANS, 0.5, -math.inf, n_boot, substream(1))) == none
+        # At x = +-inf every value lies on one side, so the resampled CDF equals the center and y = 0 is reached.
+        assert list(cdf_deviation_probs(values, self.PLANS, math.inf, 0.0, n_boot, substream(1))) == every
+        assert list(cdf_deviation_probs(values, self.PLANS, -math.inf, 0.0, n_boot, substream(1))) == every
+        assert list(cdf_deviation_probs(values, self.PLANS, math.inf, -0.5, n_boot, substream(1))) == none
 
     def test_reads_one_tail_per_plan(self, monkeypatch):
         calls = []

@@ -23,8 +23,8 @@ from blockboot.harness import (
     replication_seed,
 )
 from blockboot.models import ModelSpec, arma11_model, constant_model, simulate_batch, squared_arma23_model
-from blockboot.estimators import lower_confidence_bounds, quantile_deviation_prob, quantile_deviation_probs
-from blockboot.resample import BlockPlan, ResamplePlan
+from blockboot.estimators import lower_confidence_bounds, quantile_deviation_probs
+from blockboot.resample import BlockPlan
 from blockboot.seeding import substream
 
 TABLE_MBB_PAIRS = {
@@ -84,6 +84,16 @@ class TestGridSpec:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(cells=()).plans(50)
+
+    @pytest.mark.parametrize(
+        ("fields", "name"),
+        [({"b_min": 0}, "b_min"), ({"ell_min": 0}, "ell_min"), ({"ell_min": -2, "ell_max": 4}, "ell_min"), ({"ell_step": 0}, "ell_step"), ({"ell_step": -1}, "ell_step")],
+    )
+    def test_counts_and_step_below_one_rejected(self, fields, name):
+        # A zero or negative block length used to divide by zero in plans(), and a zero step failed inside range().
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            GridSpec(**fields)
+        assert GridSpec(**{**fields, name: 1}).plans(20)
 
 
 class TestExperimentConfig:
@@ -161,7 +171,7 @@ class TestMseGrid:
             acc = 0.0
             for rep in range(15):
                 series = simulate_batch(cfg.model, 12, 1, substream(replication_seed(11, rep)))[0]
-                estimate = quantile_deviation_prob(series, ResamplePlan(BlockPlan(b, ell), None, 0), 0.5, 1.0)
+                (estimate,) = quantile_deviation_probs(series, [BlockPlan(b, ell)], 0.5, 1.0)
                 acc += (estimate - 0.6) ** 2
             assert result.rows[ci].value == acc / 15
 
@@ -198,7 +208,7 @@ class TestExactGrids:
 
         monkeypatch.setattr(harness, "substream", series_only)
         monkeypatch.setattr(tuning, "substream", no_seed)
-        monkeypatch.setattr(estimators, "substream", no_seed)
+        assert not hasattr(estimators, "substream")
         cfg = tiny_config(n=64, n_reps=3, exact=True, y=0.5, alpha=0.9, c1_grid=(0.5, 1.0), c2_grid=(0.5, 1.0), subsample_len=27, subsample_count=3)
         for grid_fn in (mse_grid, cdf_mse_grid, coverage_grid):
             assert len(grid_fn(cfg).rows) == 3

@@ -10,7 +10,6 @@ from blockboot.empirical import block_averaged_quantile, order_stat_index
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
-    ResamplePlan,
     ResourceLimitError,
     bootstrap_quantile_distribution,
     cdf_statistic,
@@ -204,15 +203,23 @@ class TestExactDistribution:
 
 class TestMonteCarloDistribution:
     def test_single_replicate(self):
-        dist = bootstrap_quantile_distribution(substream(13).standard_normal(10), ResamplePlan(BlockPlan(2, 3), 1, 99), 0.5)
+        dist = bootstrap_quantile_distribution(substream(13).standard_normal(10), BlockPlan(2, 3), 0.5, 1, substream(99))
         assert dist.total == 1
         assert dist.counts.sum() == 1
+
+    def test_draw_arguments_are_checked(self):
+        # The grid estimators raise the same errors: every random function takes its draws from a passed generator.
+        values = substream(12).standard_normal(10)
+        for n_boot in (0, -3):
+            with pytest.raises(ValueError, match="n_boot"):
+                bootstrap_quantile_distribution(values, BlockPlan(2, 3), 0.5, n_boot, substream(1))
+        with pytest.raises(ValueError, match="rng"):
+            bootstrap_quantile_distribution(values, BlockPlan(2, 3), 0.5, 10, None)
 
     def test_equals_sequential_statistics(self):
         values = substream(14).standard_normal(25)
         plan = BlockPlan(3, 4)
-        rp = ResamplePlan(plan, 64, 4321)
-        dist = bootstrap_quantile_distribution(values, rp, 0.25)
+        dist = bootstrap_quantile_distribution(values, plan, 0.25, 64, substream(4321))
         rng = substream(4321)
         stats = [quantile_statistic(values, plan, 0.25, rng) for _ in range(64)]
         vals, counts = np.unique(np.asarray(stats), return_counts=True)
@@ -221,16 +228,16 @@ class TestMonteCarloDistribution:
 
     def test_determinism(self):
         values = substream(15).standard_normal(30)
-        rp = ResamplePlan(BlockPlan(4, 5), 500, 7)
-        a = bootstrap_quantile_distribution(values, rp, 0.5)
-        b = bootstrap_quantile_distribution(values, rp, 0.5)
+        plan = BlockPlan(4, 5)
+        a = bootstrap_quantile_distribution(values, plan, 0.5, 500, substream(7))
+        b = bootstrap_quantile_distribution(values, plan, 0.5, 500, substream(7))
         assert np.array_equal(a.values, b.values) and np.array_equal(a.counts, b.counts)
 
     def test_matches_exact_within_binomial_tolerance(self):
         values = substream(16).standard_normal(8)
         plan = BlockPlan(2, 3)
         exact = exact_quantile_distribution(values, plan, 0.5)
-        mc = bootstrap_quantile_distribution(values, ResamplePlan(plan, 200_000, 5), 0.5)
+        mc = bootstrap_quantile_distribution(values, plan, 0.5, 200_000, substream(5))
         for atom, q in zip(exact.values, np.cumsum(exact.counts) / exact.total):
             tol = 3 * math.sqrt(q * (1 - q) / 200_000)
             assert abs(mc.cdf(atom) - q) <= tol + 1e-12
@@ -240,22 +247,22 @@ class TestMonteCarloDistribution:
         plan = BlockPlan(1, 3)
         exact = exact_quantile_distribution(values, plan, 0.5)
         assert exact.total == 7
-        mc = bootstrap_quantile_distribution(values, ResamplePlan(plan, 2000, 6), 0.5)
+        mc = bootstrap_quantile_distribution(values, plan, 0.5, 2000, substream(6))
         assert set(mc.values).issubset(set(exact.values))
 
     def test_scaling_equivariance_power_of_two(self):
         values = substream(18).standard_normal(20)
-        rp = ResamplePlan(BlockPlan(3, 4), 300, 8)
-        base = bootstrap_quantile_distribution(values, rp, 0.5)
-        scaled = bootstrap_quantile_distribution(4.0 * values, rp, 0.5)
+        plan = BlockPlan(3, 4)
+        base = bootstrap_quantile_distribution(values, plan, 0.5, 300, substream(8))
+        scaled = bootstrap_quantile_distribution(4.0 * values, plan, 0.5, 300, substream(8))
         assert np.array_equal(scaled.values, 4.0 * base.values)
         assert np.array_equal(scaled.counts, base.counts)
 
     def test_scaling_equivariance_generic(self):
         values = substream(19).standard_normal(20)
-        rp = ResamplePlan(BlockPlan(2, 5), 300, 9)
-        base = bootstrap_quantile_distribution(values, rp, 0.5)
-        scaled = bootstrap_quantile_distribution(1.7 * values, rp, 0.5)
+        plan = BlockPlan(2, 5)
+        base = bootstrap_quantile_distribution(values, plan, 0.5, 300, substream(9))
+        scaled = bootstrap_quantile_distribution(1.7 * values, plan, 0.5, 300, substream(9))
         assert scaled.values == pytest.approx(1.7 * base.values, rel=1e-12)
 
 
