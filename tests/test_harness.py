@@ -90,7 +90,7 @@ class TestGridSpec:
         [({"b_min": 0}, "b_min"), ({"ell_min": 0}, "ell_min"), ({"ell_min": -2, "ell_max": 4}, "ell_min"), ({"ell_step": 0}, "ell_step"), ({"ell_step": -1}, "ell_step")],
     )
     def test_counts_and_step_below_one_rejected(self, fields, name):
-        # A zero or negative block length used to divide by zero in plans(), and a zero step failed inside range().
+        # plans() would otherwise divide by a block length below 1 or hand range() a zero step.
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             GridSpec(**fields)
         assert GridSpec(**{**fields, name: 1}).plans(20)
