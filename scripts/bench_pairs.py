@@ -136,8 +136,8 @@ def main(argv=None) -> int:
                 "metrics": {metric["name"]: summarise(metric, runs["parent"], runs["change"]) for metric in declared["end_to_end"]},
             }
             summary = out["workloads"][workload]
-            flagged, noisy = summary["worse"], summary["unresolved"] = worse(summary["metrics"]), unresolved(summary["metrics"])
-            print(f"{workload} worse than the parent past the bound: {flagged or 'none'}; unresolved: {noisy or 'none'}", file=sys.stderr, flush=True)
+            summary["worse"], summary["unresolved"] = worse(summary["metrics"]), unresolved(summary["metrics"])
+            print(f"{workload} worse than the parent past the bound: {summary['worse'] or 'none'}; unresolved: {summary['unresolved'] or 'none'}", file=sys.stderr, flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
