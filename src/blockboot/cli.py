@@ -22,7 +22,7 @@ import yaml
 
 from . import harness
 from .models import model_from_name
-from .resample import ResourceLimitError
+from .resample import ResourceLimitError, tails_stack_size
 from .tuning import default_subsample_len, plan_from_constants
 
 
@@ -204,14 +204,16 @@ def _check_tune(cfg: harness.ExperimentConfig) -> None:
 def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
     """Raise ResourceLimitError, naming the key (the first of equals), when the largest allocation of a run reading ``read`` at ``sizes`` exceeds ``_MAX_ALLOCATION``."""
     series = min(cfg.ref_sims, harness._REF_CHUNK) if "ref_replications" in read else 1  # simulated at once: a reference chunk, or a replication's
-    # A grid call holds the window counts of the plans sharing a block length, and the law of its largest plan.
+    # A grid call holds the window counts of the plans sharing a block length, and count_sum_tails one row per plan.
     grids = [(n, cfg.grid.plans(n)) for n in sizes if "grid" in read]
     allocations = {
         "n_list" if "n_list" in read else "n": series * max(sizes),
         "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
-        "grid": max((max(n * max(Counter(q.block_length for q in plans).values()), max(q.total_length for q in plans) + 1) for n, plans in grids), default=0),
+        "grid": max((max(n * max(Counter(q.block_length for q in plans).values()), tails_stack_size(plans)) for n, plans in grids), default=0),
     }
+    if "c1_grid" in read:  # tune's kernel calls stack windows up to a fixed budget, or hold the full series' cells alone
+        allocations["c1_grid"] = tails_stack_size([plan_from_constants(cfg.n, c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid])
     key, size = max(allocations.items(), key=lambda item: item[1])
     if size > _MAX_ALLOCATION:
         raise ResourceLimitError(f"config key {key!r} asks for {size} values in one allocation, over the limit of {_MAX_ALLOCATION}")

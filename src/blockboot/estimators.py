@@ -1,40 +1,47 @@
 """Bootstrap distribution estimates and percentile confidence bounds over a grid of plans.
 
-Every estimate reads one answer, :func:`~blockboot.resample.count_sum_tail`:
+Every estimate reads one answer, :func:`~blockboot.resample.count_sum_tails`:
 the exact probability ``G`` that ``b`` block counts sum to ``k`` or more.  The
 quantile lies at or below a threshold when at least ``ceil(b*ell*p)`` values
 do; at most ``c`` of ``m`` values lie at or below ``x`` when at least
 ``m - floor(c)`` lie above it.  Given the series, ``B`` Monte Carlo replicates
 count ``Binomial(B, G)`` hits, so a point estimate draws that count, in plan
 order, from the generator its caller passes.  The bound bisects the sorted
-observations for the first whose exact ``G`` reaches a level
-(``bisect.bisect_left``) and pastes nothing: the level is ``alpha`` for the exact
+observations for the first whose exact ``G`` reaches a level (the searches of
+a grid call in lockstep) and pastes nothing: the level is ``alpha`` for the exact
 law; for ``B`` replicates it is the ``k``-th of ``B`` uniform order
 statistics, one ``Beta(k, B - k + 1)`` draw per plan, so the bound is the
 pasting definition's ``k``-th order statistic in law.  Whether a bound covers
 a value needs no search: the observations whose bound misses it are the
-smallest ones, so one tail per plan, at the last of them, decides.
+smallest ones, so the tail at the last of them decides.
 
 A grid call returns one value per plan, in order, with the center and window
-counts computed once per block length, and draws only from the ``rng`` passed.
+counts computed once per block length, and draws only from the ``rng`` passed;
+the point and coverage calls stack one window-count pmf per plan and read every
+plan's ``G`` from one :func:`~blockboot.resample.count_sum_tails` call.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 
 import numpy as np
 
 from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index
-from .resample import _check_draws, _check_plan, count_sum_tail, window_counts
+from .resample import _check_draws, _check_plan, count_pmfs, count_sum_tails, tails_stack_size, window_counts
 
 __all__ = [
     "lower_bounds_cover",
     "lower_confidence_bounds",
     "quantile_deviation_probs",
     "cdf_deviation_probs",
+    "window_deviation_probs",
 ]
+
+# Values in the largest array of one window_deviation_probs kernel call (2 MB of float64).  On tune's 25 default cells,
+# budgets of 2**16 to 2**22 ran within 13% of each other, at n = 200 and 1,000 with every subsample and at n = 10,000
+# with 20 (2**14 was up to 27% slower); past 2**18 only the peak memory grew.
+_STACK_BUDGET = 2**18
 
 
 def _by_block_length(n: int, plans) -> dict:
@@ -43,6 +50,11 @@ def _by_block_length(n: int, plans) -> dict:
     for i, plan in enumerate(plans):
         groups.setdefault(_check_plan(n, plan)[1], []).append((i, plan))
     return groups
+
+
+def _pmfs(plans, width=None) -> np.ndarray:
+    """An unfilled stack of one pmf row per plan, ``width`` wide or as wide as the longest block's counts."""
+    return np.empty((len(plans), width or max((plan.block_length for plan in plans), default=0) + 1))
 
 
 def _check_points(**points) -> None:
@@ -57,8 +69,7 @@ def _monte_carlo(weights, n_boot, rng) -> np.ndarray:
     if n_boot is None:
         return weights
     _check_draws(n_boot, rng)
-    # Clip only the binomial's argument: a tail sum may exceed 1 in the last bit, and exact values must not move.
-    return rng.binomial(n_boot, np.clip(weights, 0.0, 1.0)) / n_boot
+    return rng.binomial(n_boot, weights) / n_boot
 
 
 def _levels(count: int, alpha: float, n_boot, rng) -> np.ndarray:
@@ -82,22 +93,44 @@ def _bound(q_hat, m, v, center, n):
     return q_hat - np.sqrt(m) * (v - center) / np.sqrt(n)
 
 
+def _quantile_stack(values, plans, p: float, x: float, width=None) -> tuple:
+    """The pmf stack and tail index ``k`` of every plan's quantile deviation at ``x``: with ``plans``, a :func:`count_sum_tails` call."""
+    _check_points(x=x)
+    pmfs = _pmfs(plans, width)
+    for ell, cells in _by_block_length(values.size, plans).items():
+        center = block_averaged_quantile(values, ell, p)
+        scales = np.sqrt([plan.n_blocks * ell for _, plan in cells])
+        pmfs[[i for i, _ in cells]] = count_pmfs(window_counts(values <= (center + x / scales)[:, None], ell), pmfs.shape[1])
+    return pmfs, [order_stat_index(plan.total_length, p) for plan in plans]
+
+
+def window_deviation_probs(series, windows, plans: dict, p: float, x: float, n_boot: int | None = None, rngs=None) -> list:
+    """:func:`quantile_deviation_probs` on each window ``(start, length)`` of ``series`` with the plans ``plans[length]``.
+
+    One array per window, in order; with ``n_boot``, window ``i`` draws from the ``i``-th generator of the iterable
+    ``rngs``.  The windows' exact tails come from :func:`count_sum_tails` calls of as many windows as keep the largest
+    array under ``_STACK_BUDGET`` values, or of one window; a window's values do not depend on the others.
+    """
+    values, rngs = as_values(series), None if rngs is None else iter(rngs)
+    width = max((plan.block_length for group in plans.values() for plan in group), default=0) + 1
+    batch = max(1, _STACK_BUDGET // max([1, *map(tails_stack_size, plans.values())]))
+    out = []
+    for first in range(0, len(windows), batch):
+        stacks = [(_quantile_stack(values[start : start + length], plans[length], p, x, width), plans[length]) for start, length in windows[first : first + batch]]
+        tails = count_sum_tails(np.concatenate([pmfs for (pmfs, _), _ in stacks]), [plan for _, group in stacks for plan in group], np.concatenate([k for (_, k), _ in stacks]))
+        for g in np.split(tails, np.cumsum([len(group) for _, group in stacks])[:-1]):
+            out.append(_monte_carlo(g, n_boot, None if rngs is None else next(rngs)))
+    return out
+
+
 def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | None = None, rng=None) -> np.ndarray:
     """Bootstrap probabilities that the scaled quantile deviation is ``<= x``, one per plan of ``plans``.
 
     Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around each plan's exact ``G``, drawn in plan order
     from ``rng``: in law ``bootstrap_quantile_distribution(...).cdf(x)``.  A NaN ``x`` raises ``ValueError``.
     """
-    _check_points(x=x)
-    values = as_values(series)
-    out = np.empty(len(plans))
-    for ell, cells in _by_block_length(values.size, plans).items():
-        center = block_averaged_quantile(values, ell, p)
-        scales = np.sqrt([plan.n_blocks * ell for _, plan in cells])
-        rows = window_counts(values <= (center + x / scales)[:, None], ell)
-        for (i, plan), row in zip(cells, rows):
-            out[i] = count_sum_tail(row, plan, order_stat_index(plan.total_length, p))
-    return _monte_carlo(out, n_boot, rng)
+    pmfs, k = _quantile_stack(as_values(series), plans, p, x)
+    return _monte_carlo(count_sum_tails(pmfs, plans, k), n_boot, rng)
 
 
 def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = None, rng=None) -> np.ndarray:
@@ -110,14 +143,13 @@ def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = 
     """
     _check_points(x=x, y=y)
     values = as_values(series)
-    out = np.empty(len(plans))
+    pmfs, k = _pmfs(plans), np.empty(len(plans), dtype=np.int64)
     for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_cdf(values, ell, x)
-        row = window_counts(values > x, ell)
-        for i, plan in cells:
-            m = plan.total_length
-            out[i] = count_sum_tail(row, plan, int(np.clip(m - np.floor(center * m + y * np.sqrt(m)), 0, m + 1)))
-    return _monte_carlo(out, n_boot, rng)
+        rows, m = [i for i, _ in cells], np.array([plan.total_length for _, plan in cells])
+        pmfs[rows] = count_pmfs(window_counts(values > x, ell)[None], pmfs.shape[1])
+        k[rows] = np.clip(m - np.floor(center * m + y * np.sqrt(m)), 0, m + 1)
+    return _monte_carlo(count_sum_tails(pmfs, plans, k), n_boot, rng)
 
 
 def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int | None = None, rng=None) -> np.ndarray:
@@ -131,24 +163,27 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
     bound is the ``k``-th of ``n_boot`` draws from ``G``: in law ``bootstrap_quantile_distribution(...).quantile(alpha)``,
     and monotone in ``alpha`` for a fixed generator.  An ``n_boot`` over ``2**53`` raises ``ValueError``.
 
-    The searches of a block length share their probes, and keep each probed window-count row until that block length
-    is done: up to ``min(n - 1, cells * ceil(log2(n)))`` rows of ``n`` int64, ``cells`` the plans at that length.
-    :func:`lower_bounds_cover` answers coverage from one row per plan.
+    The searches run in lockstep, one :func:`count_sum_tails` call per bisection round, and those of a block length share
+    their probes: each probed window-count pmf is kept until the call ends, up to ``min(n - 1, cells * ceil(log2(n)))``
+    rows of ``ell + 1`` floats per block length, ``cells`` the plans at that length.  :func:`lower_bounds_cover` answers
+    coverage from one row per plan.
     """
     levels = _levels(len(plans), alpha, n_boot, rng)
     values = as_values(series)
     ordered = np.sort(values)
     q_hat = ordered[order_stat_index(values.size, p) - 1]
-    out = np.empty(len(plans))
-    for ell, cells in _by_block_length(values.size, plans).items():
-        center = block_averaged_quantile(values, ell, p)
-        counts_at = functools.cache(lambda j: window_counts(values <= ordered[j], ell))  # probes shared by the cells
-        for i, plan in cells:
-            k = order_stat_index(plan.total_length, p)
-            # Midpoint probes tolerate tails not monotone in j to the last bit; a float key beats a numpy-bool one.
-            g = bisect.bisect_left(range(values.size - 1), levels[i], key=lambda j: count_sum_tail(counts_at(j), plan, k))
-            out[i] = _bound(q_hat, plan.total_length, ordered[g], center, values.size)
-    return out
+    centers = {ell: block_averaged_quantile(values, ell, p) for ell in _by_block_length(values.size, plans)}
+    width = max(centers, default=0) + 1
+    pmf_at = functools.cache(lambda ell, j: count_pmfs(window_counts(values <= ordered[j], ell)[None], width))
+    k = np.array([order_stat_index(plan.total_length, p) for plan in plans], dtype=np.int64)
+    # bisect_left over range(n - 1) per plan: its midpoint probes tolerate tails not monotone in j to the last bit.
+    lo, hi = np.zeros(len(plans), dtype=np.int64), np.full(len(plans), values.size - 1)
+    while (active := np.flatnonzero(lo < hi)).size:
+        mid = (lo[active] + hi[active]) // 2
+        pmfs = np.concatenate([pmf_at(plans[i].block_length, j) for i, j in zip(active.tolist(), mid.tolist())])
+        below = count_sum_tails(pmfs, [plans[i] for i in active], k[active]) < levels[active]
+        lo[active], hi[active] = np.where(below, mid + 1, lo[active]), np.where(below, hi[active], mid)
+    return np.array([_bound(q_hat, plan.total_length, ordered[g], centers[plan.block_length], values.size) for plan, g in zip(plans, lo.tolist())])
 
 
 def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: int | None = None, rng=None) -> np.ndarray:
@@ -156,18 +191,18 @@ def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: 
 
     No search: the bound falls as the observation rises, rounding included, so the observations whose bound misses
     ``q`` are those at or below the last of them, and the search ends past it exactly when the tail ``G`` there is
-    below the plan's level.  One window count per block length and one tail per plan; a NaN ``q`` raises ``ValueError``.
+    below the plan's level.  One window count per block length and one :func:`count_sum_tails` call for every plan's
+    tail; a NaN ``q`` raises ``ValueError``.
     """
     _check_points(q=q)
     levels = _levels(len(plans), alpha, n_boot, rng)
     values = as_values(series)
     q_hat = np.sort(values)[order_stat_index(values.size, p) - 1]
-    out = np.empty(len(plans), dtype=bool)
+    pmfs = _pmfs(plans)
     for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_quantile(values, ell, p)
         m = np.array([[plan.total_length] for _, plan in cells])
-        rows = window_counts(q < _bound(q_hat, m, values, center, values.size), ell)  # the observations each bound misses
-        for (i, plan), row in zip(cells, rows):
-            # With no observation missing, the bound covers at any level, a zero one included.
-            out[i] = not row.any() or count_sum_tail(row, plan, order_stat_index(plan.total_length, p)) < levels[i]
-    return out
+        missed = window_counts(q < _bound(q_hat, m, values, center, values.size), ell)  # the observations each bound misses
+        pmfs[[i for i, _ in cells]] = count_pmfs(missed, pmfs.shape[1])
+    # With no observation missing (every window counts 0), the bound covers at any level, a zero one included.
+    return (pmfs[:, 0] == 1.0) | (count_sum_tails(pmfs, plans, [order_stat_index(plan.total_length, p) for plan in plans]) < levels)

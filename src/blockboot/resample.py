@@ -12,8 +12,9 @@ The centered, scaled statistic for one resample is
 
 the resampled quantile is at most a threshold exactly when the ``b`` block
 counts of values at or below it (:func:`window_counts`) sum to ``ceil(b*ell*p)``
-or more.  Every estimate reads that one answer, :func:`count_sum_tail`, the
-exact probability of that event given the series; a Monte Carlo point
+or more.  Every estimate reads that one answer, the exact probability of that
+event given the series; :func:`count_sum_tails` gives it for a stack of
+window-count pmfs (:func:`count_pmfs`) at once, by FFT.  A Monte Carlo point
 estimate draws its count of hits from it as a binomial, and a Monte Carlo
 bound its level as a beta order statistic.  The functions that paste blocks
 are the definitions it is tested against, in law for the point estimates and
@@ -37,7 +38,9 @@ __all__ = [
     "quantile_statistic",
     "cdf_statistic",
     "window_counts",
-    "count_sum_tail",
+    "count_pmfs",
+    "count_sum_tails",
+    "tails_stack_size",
     "bootstrap_quantile_distribution",
     "exact_quantile_distribution",
 ]
@@ -185,18 +188,48 @@ def window_counts(indicator, ell: int) -> np.ndarray:
     return cum[..., ell:] - cum[..., :-ell]
 
 
-def count_sum_tail(counts, plan: BlockPlan, k: int) -> float:
-    """Probability that the :func:`window_counts` row ``counts`` summed at ``plan``'s ``b`` uniform block starts is ``>= k``.
+def count_pmfs(counts, width: int) -> np.ndarray:
+    """Share of windows at each count ``0, ..., width - 1``, per row of the :func:`window_counts` stack ``counts`` (each count below ``width``)."""
+    rows, windows = counts.shape
+    return np.bincount((counts + width * np.arange(rows)[:, None]).ravel(), minlength=rows * width).reshape(rows, width) / windows
 
-    The tail from ``k`` of the ``b``-fold convolution of the window-count pmf, by binary powering.
+
+def count_sum_tails(pmfs, plans, k) -> np.ndarray:
+    """Per row ``i``: the probability that ``plans[i].n_blocks`` i.i.d. draws from the pmf row ``pmfs[i]`` sum to ``k[i]`` or more.
+
+    Row ``i`` of the 2-d ``pmfs`` holds the :func:`count_pmfs` law of counts ``0, ..., plans[i].block_length`` (zeros past
+    it), so a row's tail is the share of start tuples whose window counts reach ``k[i]``.  With ``low`` and ``top`` the
+    smallest and largest counts of positive mass, a tail is exactly 1 for ``k <= b*low`` and exactly 0 for ``k > b*top``.
+    In between, the ``b``-fold convolution is one ``rfft``, a power and one ``irfft`` per group of rows sharing their
+    FFT size, the power of two above ``b*top``: a row's size, and so its value, does not depend on the other rows.
+    A ``b = 1`` row is its pmf's sum from ``k``.  Every tail is clipped to ``[0, 1]``, which rounding may leave.
     """
-    b, ell = plan.n_blocks, plan.block_length
-    law, power = np.ones(1), np.bincount(counts, minlength=ell + 1) / counts.size
-    while b:
-        law = np.convolve(law, power) if b & 1 else law
-        b >>= 1
-        power = np.convolve(power, power) if b else power
-    return law[k:].sum()
+    b = np.array([plan.n_blocks for plan in plans], dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    mass = pmfs > 0
+    low = mass.argmax(axis=1) * b
+    top = (pmfs.shape[1] - 1 - mass[:, ::-1].argmax(axis=1)) * b
+    out = (k <= low).astype(float)
+    for i in np.flatnonzero(b == 1):
+        out[i] = pmfs[i, k[i] : plans[i].block_length + 1].sum()
+    convolved = np.flatnonzero((b > 1) & (low < k) & (k <= top))
+    sizes = 1 << np.frexp(top[convolved])[1].astype(np.int64)
+    for size in set(sizes.tolist()):  # not np.unique, whose first call adds 1.5 MB of resident memory on numpy 2.4
+        rows = convolved[sizes == size]
+        span = np.arange(size)
+        # One expression, so that a size group's arrays are freed before the next group's.
+        out[rows] = np.where((k[rows, None] <= span) & (span <= top[rows, None]), np.fft.irfft(np.fft.rfft(pmfs[rows], n=size) ** b[rows, None], n=size), 0.0).sum(axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+def tails_stack_size(plans) -> int:
+    """The most values one :func:`count_sum_tails` call on rows of ``plans`` holds in one array.
+
+    A row of ``b > 1`` blocks has an FFT size of at most the power of two above ``b*ell``, and shares it with the rows
+    whose size may reach it: the largest group is the most rows whose sizes may reach one power of two, times it.
+    """
+    bits = sorted((plan.total_length.bit_length() for plan in plans if plan.n_blocks > 1), reverse=True)
+    return max((rows << bit for rows, bit in enumerate(bits, 1)), default=0)
 
 
 def bootstrap_quantile_distribution(series, plan: BlockPlan, p: float, n_boot: int, rng: np.random.Generator) -> EmpiricalDistribution:
@@ -224,8 +257,9 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalD
     """Exact conditional distribution of the quantile statistic.
 
     The resampled quantile is always an observation.  The multiplicities are
-    the probabilities :func:`count_sum_tail` gives of it being ``<= v`` at each
-    distinct observation ``v``, times the ``(n - ell + 1) ** b`` start tuples, rounded.
+    the probabilities of it being ``<= v`` at each distinct observation ``v``,
+    one :func:`count_sum_tails` call for them all, times the
+    ``(n - ell + 1) ** b`` start tuples, rounded.
 
     Raises
     ------
@@ -240,7 +274,7 @@ def exact_quantile_distribution(series, plan: BlockPlan, p: float) -> EmpiricalD
     center = block_averaged_quantile(values, ell, p)
     k = order_stat_index(b * ell, p)
     atoms = np.unique(values)
-    below = np.array([count_sum_tail(row, plan, k) for row in window_counts(values <= atoms[:, None], ell)])
+    below = count_sum_tails(count_pmfs(window_counts(values <= atoms[:, None], ell), ell + 1), [plan] * atoms.size, np.full(atoms.size, k))
     counts = np.diff(np.rint(below * total).astype(np.int64), prepend=0)
     keep = counts > 0
     return EmpiricalDistribution(values=np.sqrt(b * ell) * (atoms[keep] - center), counts=counts[keep], total=total)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import as_values, guarded_floor
-from .estimators import quantile_deviation_probs
+from .estimators import window_deviation_probs
 from .resample import BlockPlan
 from .seeding import substream
 
@@ -146,10 +146,9 @@ def subsample_starts(n: int, subsample_len: int, count: int) -> np.ndarray:
 def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     """Tuning diagnostics for every cell of the candidate grid.
 
-    One :func:`~blockboot.estimators.quantile_deviation_probs` call covers the feasible cells on the full
-    series, and one each subsample window, drawing from that window's generator (``TuneConfig.seed``).  Cells whose
-    plan is degenerate at either sample size carry ``nan`` error and a ``None`` plan; the row order is
-    ``c1`` outer, ``c2`` inner.
+    One :func:`~blockboot.estimators.window_deviation_probs` call covers the feasible cells on the full series and on
+    each subsample window, each window drawing from its own generator (``TuneConfig.seed``).  Cells whose plan is
+    degenerate at either sample size carry ``nan`` error and a ``None`` plan; the row order is ``c1`` outer, ``c2`` inner.
     """
     values = as_values(series)
     n = values.size
@@ -160,15 +159,12 @@ def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
         with contextlib.suppress(ValueError):
             feasible[i] = {n: plan_from_constants(n, c1, c2), m: plan_from_constants(m, c1, c2)}
 
-    def estimates(window, start):
-        rng = None if cfg.n_boot is None else substream(cfg.seed, _TUNE_TAG, start, window.size)
-        return quantile_deviation_probs(window, [plans[window.size] for plans in feasible.values()], cfg.p, cfg.x, cfg.n_boot, rng).tolist()
-
-    g_full = estimates(values, 0)
-    deviations = [[] for _ in feasible]
-    for start in subsample_starts(n, m, cfg.subsample_count):
-        for dev, g_sub, g in zip(deviations, estimates(values[start : start + m], int(start)), g_full):
-            dev.append(abs(g_sub - g) ** cfg.rho)
+    grid = {size: [plans[size] for plans in feasible.values()] for size in (n, m)}
+    windows = [(0, n), *((int(start), m) for start in subsample_starts(n, m, cfg.subsample_count))]
+    rngs = None if cfg.n_boot is None else (substream(cfg.seed, _TUNE_TAG, start, size) for start, size in windows)
+    estimates = [g.tolist() for g in window_deviation_probs(values, windows, grid, cfg.p, cfg.x, cfg.n_boot, rngs)]
+    g_full = estimates[0]
+    deviations = [[abs(g_sub - g) ** cfg.rho for g_sub in cell] for cell, g in zip(zip(*estimates[1:]), g_full)]
     rows = {i: CellDiagnostics(*cells[i], plans[n], float(np.mean(dev)), g) for (i, plans), dev, g in zip(feasible.items(), deviations, g_full)}
     return [rows[i] if i in rows else CellDiagnostics(c1, c2, None, math.nan, math.nan) for i, (c1, c2) in enumerate(cells)]
 

@@ -262,6 +262,19 @@ OVERSIZED = {
     "n_list": ("rate-study", dict(n_list=[30, 60, 10**9]), "'n_list'"),
     "grid law": ("mse-grid", dict(grid={"cells": [[100000000, 2]]}), "'grid'"),
     "grid window counts": ("coverage-grid", dict(n=20000, grid={"b": [1, 20000], "ell": [1, 1]}, alpha=0.9, x=None, ref_value=None), "'grid'"),
+    # 96 laws of FFT size 2**20 in one count_sum_tails stack: 100,663,296 values; 95 fit (KERNEL_STACKS).
+    "grid kernel stack": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_096)]}), "'grid'"),
+    # 6 full-series cells whose laws have FFT size 2**24: 100,663,296 values, however few windows share a call; 5 fit.
+    "tune kernel stack": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(6)]), "'c1_grid'"),
+}
+
+# Configs one step under the two kernel-stack cases of OVERSIZED, and the default grid at n = 100,000 (820 plans,
+# whose largest group is the 20 MBB laws of FFT size 2**17; the window counts charge 4,100,000 values).
+KERNEL_STACKS = {
+    "grid": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_095)]})),
+    "tune": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(5)])),
+    "default grid mse-grid": ("mse-grid", dict(n=100_000, grid=None)),
+    "default grid coverage-grid": ("coverage-grid", dict(n=100_000, grid=None, alpha=0.9, x=None, ref_value=None)),
 }
 
 
@@ -291,6 +304,12 @@ class TestResourceLimit:
         assert main(["mse-grid", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "'bootstrap_samples'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_STACKS))
+    def test_largest_allowed_kernel_stack_builds(self, case):
+        command, overrides = KERNEL_STACKS[case]
+        args = cli.make_parser().parse_args([command, "--config", "unused.yaml"])
+        cli.build_config({key: value for key, value in tiny_entries(**overrides).items() if value is not None}, args)
 
     def test_largest_allowed_reference_chunk_builds(self):
         args = cli.make_parser().parse_args(["reference", "--config", "unused.yaml"])

@@ -8,6 +8,7 @@ import pytest
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
 from blockboot.estimators import cdf_deviation_probs, lower_bounds_cover, lower_confidence_bounds, quantile_deviation_probs
+from blockboot.harness import GridSpec
 from blockboot.resample import (
     BlockPlan,
     EmpiricalDistribution,
@@ -133,6 +134,19 @@ class TestGridCalls:
         assert list(got) == [lower_confidence_bounds(values, [plan], 0.4, 0.9, n_boot, shared)[0] for plan in plans]
         got, shared = lower_bounds_cover(values, plans, 0.4, 0.9, 0.0, n_boot, substream(100)), substream(100)
         assert list(got) == [lower_bounds_cover(values, [plan], 0.4, 0.9, 0.0, n_boot, shared)[0] for plan in plans]
+
+    @pytest.mark.parametrize("name", ["quantile_deviation_probs", "cdf_deviation_probs", "lower_bounds_cover"])
+    def test_default_grid_cells_equal_alone(self, name):
+        # The 286 cells of the default grid at n = 200 span many FFT sizes; each cell's exact value is the same alone.
+        values = substream(65).standard_normal(200)
+        call = {
+            "quantile_deviation_probs": lambda plans: quantile_deviation_probs(values, plans, 0.5, 0.3),
+            "cdf_deviation_probs": lambda plans: cdf_deviation_probs(values, plans, 0.1, -0.2),
+            "lower_bounds_cover": lambda plans: lower_bounds_cover(values, plans, 0.5, 0.9, -0.25),  # about the median bound
+        }[name]
+        plans = GridSpec().plans(200)
+        got = call(plans)
+        assert len(set(got.tolist())) > 1 and list(got) == [call([plan])[0] for plan in plans]
 
     @pytest.mark.parametrize("n_boot", [10, 2000])
     def test_vectorised_binomial_equals_sequential_draws(self, n_boot):
@@ -343,8 +357,20 @@ class TestLowerBoundsCover:
         assert list(cdf_deviation_probs(values, self.PLANS, math.inf, -0.5, n_boot, substream(1))) == none
 
     def test_reads_one_tail_per_plan(self, monkeypatch):
+        # Each grid call makes one kernel call, with one pmf row, block plan and tail index per plan.
         calls = []
-        monkeypatch.setattr(estimators, "count_sum_tail", lambda *args: calls.append(args) or resample.count_sum_tail(*args))
+        monkeypatch.setattr(estimators, "count_sum_tails", lambda *args: calls.append(args) or resample.count_sum_tails(*args))
         values = substream(73).standard_normal(self.N)
         lower_bounds_cover(values, self.PLANS, 0.5, 0.9, float(np.median(values)), 2000, substream(2))
-        assert 0 < len(calls) <= len(self.PLANS)
+        quantile_deviation_probs(values, self.PLANS, 0.5, 0.3, 2000, substream(2))
+        cdf_deviation_probs(values, self.PLANS, 0.1, -0.2)
+        assert len(calls) == 3
+        for pmfs, plans, k in calls:
+            assert pmfs.shape == (len(self.PLANS), 41) and list(plans) == self.PLANS and len(k) == len(self.PLANS)
+
+    def test_bound_searches_make_one_kernel_call_per_round(self, monkeypatch):
+        # The searches bisect range(n - 1) in lockstep: at most ceil(log2(n - 1)) rounds, the first with every plan.
+        rows = []
+        monkeypatch.setattr(estimators, "count_sum_tails", lambda *args: rows.append(len(args[1])) or resample.count_sum_tails(*args))
+        lower_confidence_bounds(substream(74).standard_normal(self.N), self.PLANS, 0.5, 0.9, 2000, substream(3))
+        assert 0 < len(rows) <= math.ceil(math.log2(self.N - 1)) and rows[0] == len(self.PLANS) and rows == sorted(rows, reverse=True)

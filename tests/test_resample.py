@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockboot.empirical import block_averaged_quantile, order_stat_index
 from blockboot.resample import (
@@ -13,7 +15,8 @@ from blockboot.resample import (
     ResourceLimitError,
     bootstrap_quantile_distribution,
     cdf_statistic,
-    count_sum_tail,
+    count_pmfs,
+    count_sum_tails,
     draw_block_starts,
     exact_quantile_distribution,
     paste_blocks,
@@ -169,13 +172,68 @@ class TestEmpiricalDistribution:
             EmpiricalDistribution(values=np.array([]), counts=np.array([]), total=0)
 
 
+def convolution_tail(pmf, b, k):
+    """Tail from ``k`` of the ``b``-fold convolution of ``pmf``, by binary powering with ``np.convolve``."""
+    law, power = np.ones(1), np.asarray(pmf, dtype=float)
+    while b:
+        law = np.convolve(law, power) if b & 1 else law
+        b >>= 1
+        power = np.convolve(power, power) if b else power
+    return law[k:].sum()
+
+
+# A pmf over counts 0..ell from 2 to 12 integer weights, one of them positive, with its number of blocks and tail index.
+ROWS = st.tuples(st.lists(st.integers(0, 9), min_size=2, max_size=12).filter(any), st.integers(1, 20), st.integers(0, 250))
+
+
 class TestCountSumTail:
     def test_exact_tail_matches_enumeration(self):
         counts = window_counts(np.array([1, 0, 0, 1, 1, 1, 0]), 3)  # [1, 1, 2, 3, 2]
         plan = BlockPlan(2, 3)
+        pmfs = count_pmfs(counts[None], plan.block_length + 1)
+        assert list(pmfs[0]) == [0.0, 0.4, 0.4, 0.2]
         for k in range(plan.total_length + 2):
             expected = sum(counts[i] + counts[j] >= k for i, j in itertools.product(range(counts.size), repeat=2))  # every start pair once
-            assert count_sum_tail(counts, plan, k) == pytest.approx(expected / 25, abs=1e-15)
+            assert count_sum_tails(pmfs, [plan], [k])[0] == pytest.approx(expected / 25, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(ROWS, min_size=1, max_size=6))
+    def test_matches_binary_powering_and_does_not_depend_on_the_batch(self, rows):
+        pmfs = np.zeros((len(rows), 12))
+        for i, (weights, _, _) in enumerate(rows):
+            pmfs[i, : len(weights)] = np.array(weights) / sum(weights)
+        plans = [BlockPlan(b, len(weights) - 1) for weights, b, _ in rows]
+        k = [min(k, b * len(weights)) for weights, b, k in rows]
+        tails = count_sum_tails(pmfs, plans, k)
+        for i, plan in enumerate(plans):
+            assert abs(tails[i] - convolution_tail(pmfs[i, : plan.block_length + 1], plan.n_blocks, k[i])) <= 1e-14
+            assert tails[i] == count_sum_tails(pmfs[i : i + 1, : plan.block_length + 1], [plan], k[i : i + 1])[0]
+
+    @pytest.mark.parametrize("b", [2, 7, 40])
+    def test_exact_outside_the_support(self, b):
+        # Thirds on counts 1..3 (low 1, top 3), and a point mass on 2: the FFT's rounding must not reach the ends.
+        pmfs, plans = np.array([[0.0, 1 / 3, 1 / 3, 1 / 3, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]]), [BlockPlan(b, 4)] * 2
+        for k, expected in [(0, 1.0), (b - 1, 1.0), (b, 1.0), (3 * b + 1, 0.0), (4 * b + 1, 0.0)]:
+            assert count_sum_tails(pmfs[:1], plans[:1], [k])[0] == expected
+        assert list(count_sum_tails(pmfs[[0, 0]], plans, [b + 1, 3 * b])) == pytest.approx([1 - 3.0**-b, 3.0**-b], abs=1e-14)
+        assert list(count_sum_tails(pmfs[[1, 1]], plans, [2 * b, 2 * b + 1])) == [1.0, 0.0]
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 40])
+    def test_every_tail_lies_in_the_unit_interval(self, b):
+        # Every k from 0 past b*top.  Before the clip, thirds on counts 1..3 at b = 40 read 1 + 3.6e-15 at k = b + 1,
+        # and the shares 9/28, 18/28 and 1/28 at b = 1 summed to 1 + 2.2e-16 from k = 0.
+        pmfs = np.array([[0.0, 1 / 3, 1 / 3, 1 / 3, 0.0], [0.1, 0.0, 0.2, 0.3, 0.4], [0.0, 0.9, 0.0, 0.0, 0.1], [9 / 28, 18 / 28, 1 / 28, 0.0, 0.0]])
+        k = np.arange(4 * b + 2)
+        for row in pmfs:
+            tails = count_sum_tails(np.repeat(row[None], k.size, axis=0), [BlockPlan(b, 4)] * k.size, k)
+            assert ((0.0 <= tails) & (tails <= 1.0)).all()
+
+    def test_single_block_is_the_pmf_sum(self):
+        counts = window_counts(substream(13).standard_normal(30) <= 0.2, 7)
+        pmf = np.bincount(counts, minlength=8) / counts.size
+        for k in range(9):
+            assert count_sum_tails(count_pmfs(counts[None], 12), [BlockPlan(1, 7)], [k])[0] == pmf[k:].sum()
+        assert count_sum_tails(np.empty((0, 1)), [], []).shape == (0,)
 
 
 class TestExactDistribution:

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blockboot import estimators
+from blockboot.estimators import quantile_deviation_probs
 from blockboot.resample import BlockPlan, exact_quantile_distribution
 from blockboot.seeding import substream
 from blockboot.tuning import (
@@ -117,6 +119,26 @@ class TestTuningError:
 
         g_full = estimate(0, 40)
         assert got == np.mean([abs(estimate(start, 16) - g_full) ** 2 for start in [0, 12, 24]])
+
+    @pytest.mark.parametrize("budget", [None, 5000, 1])
+    @pytest.mark.parametrize("n_boot", [None, 60])
+    def test_stacked_windows_equal_per_window_calls(self, monkeypatch, n_boot, budget):
+        # All 264 subsamples of n = 300 (M = 37), in one kernel call, 13 windows a call, or one.
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        values, n, m = substream(55).standard_normal(300), 300, 37
+        cfg = make_cfg(c1_grid=(0.5, 1.0, 2.0), c2_grid=(0.5, 1.0, 2.0), n_boot=n_boot, subsample_len=None, subsample_count=0)
+        diags = [d for d in grid_diagnostics(values, cfg) if d.plan is not None]
+
+        def probs(start, size):
+            rng = None if n_boot is None else substream(cfg.seed, _TUNE_TAG, start, size)
+            plans = [plan_from_constants(size, d.c1, d.c2) for d in diags]
+            return quantile_deviation_probs(values[start : start + size], plans, cfg.p, cfg.x, n_boot, rng).tolist()
+
+        g_full = probs(0, n)
+        deviations = [[abs(g_sub - g) ** cfg.rho for g_sub, g in zip(probs(start, m), g_full)] for start in range(n - m + 1)]
+        assert len(diags) == 9 and [d.full_sample_prob for d in diags] == g_full
+        assert [d.err for d in diags] == [float(np.mean(cell)) for cell in zip(*deviations)]
 
     def test_degenerate_constants_raise(self):
         values = substream(54).standard_normal(64)
