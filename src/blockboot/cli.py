@@ -212,8 +212,9 @@ def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
         "grid": max((max(n * max(Counter(q.block_length for q in plans).values()), tails_stack_size(plans)) for n, plans in grids), default=0),
     }
-    if "c1_grid" in read:  # tune's kernel calls stack windows up to a fixed budget, or hold the full series' cells alone
-        allocations["c1_grid"] = tails_stack_size([plan_from_constants(cfg.n, c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid])
+    if "c1_grid" in read:  # tune stacks windows up to a fixed budget, or holds one window alone: at most the full series' cells × n
+        plans = [plan_from_constants(cfg.n, c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
+        allocations["c1_grid"] = max(tails_stack_size(plans), len(plans) * cfg.n)
     key, size = max(allocations.items(), key=lambda item: item[1])
     if size > _MAX_ALLOCATION:
         raise ResourceLimitError(f"config key {key!r} asks for {size} values in one allocation, over the limit of {_MAX_ALLOCATION}")

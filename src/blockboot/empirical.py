@@ -8,6 +8,10 @@ denominator, so CDF and quantile queries involve no accumulated rounding:
 with ``ell = 1`` the block-averaged quantities reduce *exactly* to their
 plain empirical counterparts.
 
+:func:`block_averaged_quantiles` centers a stack of series at several block
+lengths from one sort per series; :func:`block_averaged_quantile` is its
+one-series, one-length case.
+
 Quantiles follow the left-continuous inverse ``inf{u : F(u) >= p}``
 throughout, i.e. the ``ceil(n*p)``-th order statistic; no interpolation is
 applied anywhere in this package.
@@ -27,6 +31,7 @@ __all__ = [
     "block_weight_counts",
     "block_averaged_cdf",
     "block_averaged_quantile",
+    "block_averaged_quantiles",
 ]
 
 # Relative nudge guarding ceil/floor of float products (e.g. 10 * 0.1 or an
@@ -89,8 +94,7 @@ def block_weight_counts(n: int, block_length: int) -> tuple[np.ndarray, int]:
     if ell < 1 or ell > n:
         raise ValueError(f"block length must satisfy 1 <= ell <= n, got ell={ell}, n={n}")
     t = np.arange(1, n + 1, dtype=np.int64)
-    counts = np.minimum.reduce([t, np.full(n, ell, dtype=np.int64), np.full(n, n - ell + 1, dtype=np.int64), n + 1 - t])
-    return counts, ell * (n - ell + 1)
+    return np.minimum(np.minimum(t, t[::-1]), min(ell, n - ell + 1)), ell * (n - ell + 1)
 
 
 def block_weights(n: int, block_length: int) -> np.ndarray:
@@ -119,11 +123,26 @@ def block_averaged_quantile(series, block_length: int, p: float) -> float:
 
     Computed by accumulating integer block-membership counts over the sorted
     observations, so ties merge exactly and ``block_length = 1`` recovers
-    :func:`sample_quantile` without rounding error.
+    :func:`sample_quantile` without rounding error: the one-series,
+    one-length case of :func:`block_averaged_quantiles`.
     """
-    values = as_values(series)
-    counts, denom = block_weight_counts(values.size, block_length)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(counts[order])
-    k = order_stat_index(denom, p)
-    return float(values[order][np.searchsorted(cum, k, side="left")])
+    return float(block_averaged_quantiles(as_values(series)[None], [block_length], p)[0, 0])
+
+
+def block_averaged_quantiles(stack, block_lengths, p: float) -> np.ndarray:
+    """:func:`block_averaged_quantile` of each row of the 2-d ``stack`` at each of ``block_lengths``: ``(rows, lengths)``.
+
+    Each row is sorted once for every length; a length accumulates its integer counts over the sorted rows.
+    """
+    values = np.asarray(stack, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ValueError("expected a two-dimensional stack of nonempty series")
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    rows = np.arange(values.shape[0])
+    out = np.empty((rows.size, len(block_lengths)))
+    for j, ell in enumerate(block_lengths):
+        counts, denom = block_weight_counts(values.shape[1], ell)
+        # The counts are positive, so the first cumulative count reaching k follows those below it.
+        out[:, j] = ordered[rows, (np.cumsum(counts[order], axis=1) < order_stat_index(denom, p)).sum(axis=1)]
+    return out

@@ -15,10 +15,13 @@ pasting definition's ``k``-th order statistic in law.  Whether a bound covers
 a value needs no search: the observations whose bound misses it are the
 smallest ones, so the tail at the last of them decides.
 
-A grid call returns one value per plan, in order, with the center and window
-counts computed once per block length, and draws only from the ``rng`` passed;
-the point and coverage calls stack one window-count pmf per plan and read every
-plan's ``G`` from one :func:`~blockboot.resample.count_sum_tails` call.
+A grid call returns one value per plan, in order, with the window counts
+computed once per block length and the centers of every length from one sort
+(:func:`~blockboot.empirical.block_averaged_quantiles`), and draws only from the
+``rng`` passed; the point and coverage calls stack one window-count pmf per plan
+and read every plan's ``G`` from one :func:`~blockboot.resample.count_sum_tails`
+call.  :func:`window_deviation_probs` stacks the windows of a length as rows, so a
+batch of windows makes one pass per (window length, block length).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import functools
 
 import numpy as np
 
-from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantile, order_stat_index
+from .empirical import _INDEX_GUARD, as_values, block_averaged_cdf, block_averaged_quantiles, order_stat_index
 from .resample import _check_draws, _check_plan, count_pmfs, count_sum_tails, tails_stack_size, window_counts
 
 __all__ = [
@@ -38,9 +41,9 @@ __all__ = [
     "window_deviation_probs",
 ]
 
-# Values in the largest array of one window_deviation_probs kernel call (2 MB of float64).  On tune's 25 default cells,
-# budgets of 2**16 to 2**22 ran within 13% of each other, at n = 200 and 1,000 with every subsample and at n = 10,000
-# with 20 (2**14 was up to 27% slower); past 2**18 only the peak memory grew.
+# Values in the largest array of one window_deviation_probs batch (2 MB of float64).  On tune's 25 default cells,
+# budgets of 2**18 to 2**22 ran within 10% of each other, at n = 200 and 1,000 with every subsample and at n = 10,000
+# with 20; 2**16 was up to 60% slower (n = 10,000) and 2**14 up to 2.5 times; past 2**18 only the peak memory grew.
 _STACK_BUDGET = 2**18
 
 
@@ -52,9 +55,9 @@ def _by_block_length(n: int, plans) -> dict:
     return groups
 
 
-def _pmfs(plans, width=None) -> np.ndarray:
-    """An unfilled stack of one pmf row per plan, ``width`` wide or as wide as the longest block's counts."""
-    return np.empty((len(plans), width or max((plan.block_length for plan in plans), default=0) + 1))
+def _width(plans) -> int:
+    """The width of a pmf stack of ``plans``: one more than the longest block, the most a window counts."""
+    return max((plan.block_length for plan in plans), default=0) + 1
 
 
 def _check_points(**points) -> None:
@@ -93,33 +96,70 @@ def _bound(q_hat, m, v, center, n):
     return q_hat - np.sqrt(m) * (v - center) / np.sqrt(n)
 
 
-def _quantile_stack(values, plans, p: float, x: float, width=None) -> tuple:
-    """The pmf stack and tail index ``k`` of every plan's quantile deviation at ``x``: with ``plans``, a :func:`count_sum_tails` call."""
+def _quantile_stack(stack, plans, p: float, x: float, width=None) -> tuple:
+    """The pmf rows and tail indices ``k`` of the quantile deviation at ``x`` per (row of ``stack``, plan), series-major.
+
+    With ``plans`` once per row of the 2-d ``stack``, they make a :func:`count_sum_tails` call.  Each row is sorted once
+    for its centers, and the rows' window counts at a block length are one stacked pass.
+    """
     _check_points(x=x)
-    pmfs = _pmfs(plans, width)
-    for ell, cells in _by_block_length(values.size, plans).items():
-        center = block_averaged_quantile(values, ell, p)
+    rows, n = stack.shape
+    groups = _by_block_length(n, plans)
+    width = width or _width(plans)
+    pmfs = np.empty((rows, len(plans), width))
+    for (ell, cells), centers in zip(groups.items(), block_averaged_quantiles(stack, list(groups), p).T):
         scales = np.sqrt([plan.n_blocks * ell for _, plan in cells])
-        pmfs[[i for i, _ in cells]] = count_pmfs(window_counts(values <= (center + x / scales)[:, None], ell), pmfs.shape[1])
-    return pmfs, [order_stat_index(plan.total_length, p) for plan in plans]
+        counts = window_counts(stack[:, None] <= (centers[:, None] + x / scales)[..., None], ell)
+        pmfs[:, [i for i, _ in cells]] = count_pmfs(counts.reshape(-1, counts.shape[-1]), width).reshape(rows, len(cells), width)
+    return pmfs.reshape(-1, width), np.tile(np.array([order_stat_index(plan.total_length, p) for plan in plans], dtype=np.int64), rows)
+
+
+def _spans(n: int, windows, plans: dict) -> np.ndarray:
+    """``windows`` as a ``(count, 2)`` array of ``(start, length)``; ``ValueError`` names one outside ``n`` values or without plans."""
+    spans = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+    for start, length in spans.tolist():
+        if not (0 <= start and 1 <= length <= n - start):
+            raise ValueError(f"window {(start, length)} does not lie within the {n} values of the series")
+        if length not in plans:
+            raise ValueError(f"window {(start, length)} has no plans: plans has no entry for its length")
+    return spans
+
+
+def _window_size(length: int, plans) -> int:
+    """The most values a window of ``length`` adds to an array of its batch: its largest block length's counts, or its tails."""
+    return max(length * max(map(len, _by_block_length(length, plans).values()), default=1), tails_stack_size(plans))
 
 
 def window_deviation_probs(series, windows, plans: dict, p: float, x: float, n_boot: int | None = None, rngs=None) -> list:
     """:func:`quantile_deviation_probs` on each window ``(start, length)`` of ``series`` with the plans ``plans[length]``.
 
     One array per window, in order; with ``n_boot``, window ``i`` draws from the ``i``-th generator of the iterable
-    ``rngs``.  The windows' exact tails come from :func:`count_sum_tails` calls of as many windows as keep the largest
-    array under ``_STACK_BUDGET`` values, or of one window; a window's values do not depend on the others.
+    ``rngs``.  A batch of as many windows as keep every array under ``_STACK_BUDGET`` values (see :func:`_window_size`),
+    or of one window, makes one :func:`_quantile_stack` pass per window length, on the stack of those windows, and one
+    :func:`count_sum_tails` call; a window's values do not depend on the others.  A window outside the series or
+    without plans, or too few generators, raises ``ValueError``.
     """
-    values, rngs = as_values(series), None if rngs is None else iter(rngs)
-    width = max((plan.block_length for group in plans.values() for plan in group), default=0) + 1
-    batch = max(1, _STACK_BUDGET // max([1, *map(tails_stack_size, plans.values())]))
-    out = []
-    for first in range(0, len(windows), batch):
-        stacks = [(_quantile_stack(values[start : start + length], plans[length], p, x, width), plans[length]) for start, length in windows[first : first + batch]]
-        tails = count_sum_tails(np.concatenate([pmfs for (pmfs, _), _ in stacks]), [plan for _, group in stacks for plan in group], np.concatenate([k for (_, k), _ in stacks]))
-        for g in np.split(tails, np.cumsum([len(group) for _, group in stacks])[:-1]):
-            out.append(_monte_carlo(g, n_boot, None if rngs is None else next(rngs)))
+    values = as_values(series)
+    spans = _spans(values.size, windows, plans)
+    lengths = set(spans[:, 1].tolist())
+    width = _width([plan for length in lengths for plan in plans[length]])
+    batch = max(1, _STACK_BUDGET // max([1, *(_window_size(length, plans[length]) for length in lengths)]))
+    rngs, out = None if rngs is None else iter(rngs), []
+    for first in range(0, len(spans), batch):
+        chunk = spans[first : first + batch]
+        groups = [(length, np.flatnonzero(chunk[:, 1] == length)) for length in sorted(set(chunk[:, 1].tolist()))]
+        stacks = [_quantile_stack(values[chunk[rows, :1] + np.arange(length)], plans[length], p, x, width) for length, rows in groups]
+        cells = [plans[length] * rows.size for length, rows in groups]
+        tails = count_sum_tails(np.concatenate([pmfs for pmfs, _ in stacks]), [plan for group in cells for plan in group], np.concatenate([k for _, k in stacks]))
+        by_window = {}
+        for (length, rows), g in zip(groups, np.split(tails, np.cumsum([len(group) for group in cells])[:-1])):
+            by_window.update(zip(rows.tolist(), g.reshape(rows.size, len(plans[length]))))
+        for i in range(len(chunk)):
+            try:
+                rng = None if rngs is None else next(rngs)
+            except StopIteration:
+                raise ValueError(f"rngs holds fewer generators ({first + i}) than windows ({len(spans)})") from None
+            out.append(_monte_carlo(by_window[i], n_boot, rng))
     return out
 
 
@@ -129,7 +169,7 @@ def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | No
     Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around each plan's exact ``G``, drawn in plan order
     from ``rng``: in law ``bootstrap_quantile_distribution(...).cdf(x)``.  A NaN ``x`` raises ``ValueError``.
     """
-    pmfs, k = _quantile_stack(as_values(series), plans, p, x)
+    pmfs, k = _quantile_stack(as_values(series)[None], plans, p, x)
     return _monte_carlo(count_sum_tails(pmfs, plans, k), n_boot, rng)
 
 
@@ -143,7 +183,7 @@ def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = 
     """
     _check_points(x=x, y=y)
     values = as_values(series)
-    pmfs, k = _pmfs(plans), np.empty(len(plans), dtype=np.int64)
+    pmfs, k = np.empty((len(plans), _width(plans))), np.empty(len(plans), dtype=np.int64)
     for ell, cells in _by_block_length(values.size, plans).items():
         center = block_averaged_cdf(values, ell, x)
         rows, m = [i for i, _ in cells], np.array([plan.total_length for _, plan in cells])
@@ -172,7 +212,8 @@ def lower_confidence_bounds(series, plans, p: float, alpha: float, n_boot: int |
     values = as_values(series)
     ordered = np.sort(values)
     q_hat = ordered[order_stat_index(values.size, p) - 1]
-    centers = {ell: block_averaged_quantile(values, ell, p) for ell in _by_block_length(values.size, plans)}
+    groups = _by_block_length(values.size, plans)
+    centers = dict(zip(groups, block_averaged_quantiles(values[None], list(groups), p)[0].tolist()))
     width = max(centers, default=0) + 1
     pmf_at = functools.cache(lambda ell, j: count_pmfs(window_counts(values <= ordered[j], ell)[None], width))
     k = np.array([order_stat_index(plan.total_length, p) for plan in plans], dtype=np.int64)
@@ -198,9 +239,9 @@ def lower_bounds_cover(series, plans, p: float, alpha: float, q: float, n_boot: 
     levels = _levels(len(plans), alpha, n_boot, rng)
     values = as_values(series)
     q_hat = np.sort(values)[order_stat_index(values.size, p) - 1]
-    pmfs = _pmfs(plans)
-    for ell, cells in _by_block_length(values.size, plans).items():
-        center = block_averaged_quantile(values, ell, p)
+    groups = _by_block_length(values.size, plans)
+    pmfs = np.empty((len(plans), _width(plans)))
+    for (ell, cells), center in zip(groups.items(), block_averaged_quantiles(values[None], list(groups), p)[0].tolist()):
         m = np.array([[plan.total_length] for _, plan in cells])
         missed = window_counts(q < _bound(q_hat, m, values, center, values.size), ell)  # the observations each bound misses
         pmfs[[i for i, _ in cells]] = count_pmfs(missed, pmfs.shape[1])

@@ -147,7 +147,8 @@ def grid_diagnostics(series, cfg: TuneConfig) -> list[CellDiagnostics]:
     """Tuning diagnostics for every cell of the candidate grid.
 
     One :func:`~blockboot.estimators.window_deviation_probs` call covers the feasible cells on the full series and on
-    each subsample window, each window drawing from its own generator (``TuneConfig.seed``).  Cells whose plan is
+    each subsample window: a batch of windows makes one pass per (window length, block length) on the stacked windows
+    and one kernel call, and each window draws from its own generator (``TuneConfig.seed``).  Cells whose plan is
     degenerate at either sample size carry ``nan`` error and a ``None`` plan; the row order is ``c1`` outer, ``c2`` inner.
     """
     values = as_values(series)

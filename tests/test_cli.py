@@ -266,13 +266,16 @@ OVERSIZED = {
     "grid kernel stack": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_096)]}), "'grid'"),
     # 6 full-series cells whose laws have FFT size 2**24: 100,663,296 values, however few windows share a call; 5 fit.
     "tune kernel stack": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(6)]), "'c1_grid'"),
+    # A window held alone charges the full series' cells × n: 2 × 50,000,001 values; n = 50,000,000 fits (KERNEL_STACKS).
+    "tune window counts": ("tune", dict(TUNE, n=50_000_001, c1_grid=[1.0, 2.0]), "'c1_grid'"),
 }
 
-# Configs one step under the two kernel-stack cases of OVERSIZED, and the default grid at n = 100,000 (820 plans,
+# Configs one step under the kernel-stack and tune window-count cases of OVERSIZED, and the default grid at n = 100,000 (820 plans,
 # whose largest group is the 20 MBB laws of FFT size 2**17; the window counts charge 4,100,000 values).
 KERNEL_STACKS = {
     "grid": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_095)]})),
     "tune": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(5)])),
+    "tune window counts": ("tune", dict(TUNE, n=50_000_000, c1_grid=[1.0, 2.0])),
     "default grid mse-grid": ("mse-grid", dict(n=100_000, grid=None)),
     "default grid coverage-grid": ("coverage-grid", dict(n=100_000, grid=None, alpha=0.9, x=None, ref_value=None)),
 }

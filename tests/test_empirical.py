@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockboot.empirical import (
     block_averaged_cdf,
     block_averaged_quantile,
+    block_averaged_quantiles,
     block_weight_counts,
     block_weights,
     empirical_cdf,
@@ -178,6 +181,43 @@ class TestBlockAveragedQuantile:
             tenths = int(rng.integers(1, 10))
             got = block_averaged_quantile(values, ell, tenths / 10)
             assert got == naive_block_quantile(values.tolist(), ell, Fraction(tenths, 10))
+
+
+def sorted_scan(values, ell, p):
+    """The block-averaged quantile by a sort per block length: cumulative counts over the sorted values, searched for k."""
+    counts, denom = block_weight_counts(values.size, ell)
+    order = np.argsort(values, kind="stable")
+    return values[order][np.searchsorted(np.cumsum(counts[order]), order_stat_index(denom, p), side="left")]
+
+
+@st.composite
+def center_stacks(draw):
+    """A stack of rounded series (ties), block lengths 1 and n among others, and a level p, near 0 and 1 among others."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    stack = np.round(np.array(draw(st.lists(st.lists(st.floats(-2, 2), min_size=n, max_size=n), min_size=rows, max_size=rows))) * 2) / 2
+    lengths = [1, n, *draw(st.lists(st.integers(1, n), max_size=4))]
+    p = draw(st.one_of(st.sampled_from([1e-9, 1e-3, 0.3, 1 - 1e-3, 1 - 1e-9]), st.floats(0, 1, exclude_min=True, exclude_max=True)))
+    return stack, lengths, p
+
+
+class TestBlockAveragedQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(case=center_stacks())
+    def test_equals_per_row_per_length_calls(self, case):
+        stack, lengths, p = case
+        got = block_averaged_quantiles(stack, lengths, p)
+        assert got.shape == (len(stack), len(lengths))
+        assert got.tolist() == [[block_averaged_quantile(row, ell, p) for ell in lengths] for row in stack]
+        assert got.tolist() == [[sorted_scan(row, ell, p) for ell in lengths] for row in stack]
+
+    def test_shapes_and_checks(self):
+        assert block_averaged_quantiles(np.ones((3, 5)), [], 0.5).shape == (3, 0)
+        assert block_averaged_quantiles(np.ones((0, 5)), [2], 0.5).shape == (0, 1)
+        for bad in (np.ones(5), np.ones((2, 0)), np.ones((1, 2, 3))):
+            with pytest.raises(ValueError):
+                block_averaged_quantiles(bad, [1], 0.5)
+        with pytest.raises(ValueError):
+            block_averaged_quantiles(np.ones((2, 5)), [6], 0.5)
 
 
 class TestGaloisLaws:

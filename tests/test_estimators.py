@@ -7,7 +7,7 @@ import pytest
 
 from blockboot.empirical import block_averaged_cdf, block_averaged_quantile, order_stat_index, sample_quantile
 from blockboot import estimators, resample
-from blockboot.estimators import cdf_deviation_probs, lower_bounds_cover, lower_confidence_bounds, quantile_deviation_probs
+from blockboot.estimators import cdf_deviation_probs, lower_bounds_cover, lower_confidence_bounds, quantile_deviation_probs, window_deviation_probs
 from blockboot.harness import GridSpec
 from blockboot.resample import (
     BlockPlan,
@@ -374,3 +374,40 @@ class TestLowerBoundsCover:
         monkeypatch.setattr(estimators, "count_sum_tails", lambda *args: rows.append(len(args[1])) or resample.count_sum_tails(*args))
         lower_confidence_bounds(substream(74).standard_normal(self.N), self.PLANS, 0.5, 0.9, 2000, substream(3))
         assert 0 < len(rows) <= math.ceil(math.log2(self.N - 1)) and rows[0] == len(self.PLANS) and rows == sorted(rows, reverse=True)
+
+
+class TestWindowDeviationProbs:
+    """Each window's values are a :func:`quantile_deviation_probs` call on its slice, whatever the windows around it."""
+
+    PLANS = {20: [BlockPlan(2, 3), BlockPlan(1, 3), BlockPlan(4, 5)], 50: [BlockPlan(5, 4), BlockPlan(1, 50)], 40: []}
+
+    @pytest.mark.parametrize("budget", [None, 200, 1])
+    @pytest.mark.parametrize("n_boot", [None, 60])
+    def test_interleaved_lengths_equal_per_window_calls(self, monkeypatch, n_boot, budget):
+        # Lengths out of order, one with no plans; 200 values split the windows of each length into several batches.
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        values = np.round(substream(70).standard_normal(50) * 2)
+        windows = [(5, 20), (0, 50), (30, 20), (10, 40), (0, 20), (7, 20)]
+        rngs = None if n_boot is None else [substream(71, i) for i in range(len(windows))]
+        got = window_deviation_probs(values, windows, self.PLANS, 0.5, 0.3, n_boot, rngs)
+        expected = [quantile_deviation_probs(values[start : start + size], self.PLANS[size], 0.5, 0.3, n_boot, None if n_boot is None else substream(71, i)) for i, (start, size) in enumerate(windows)]
+        assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [
+            ([(45, 20)], r"window \(45, 20\) does not lie within the 50 values"),
+            ([(0, 20), (-1, 20)], r"window \(-1, 20\) does not lie within the 50 values"),
+            ([(0, 20), (0, 30)], r"window \(0, 30\) has no plans"),
+        ],
+        ids=["past the end", "negative start", "length without plans"],
+    )
+    def test_bad_window_raises_naming_it(self, windows, message):
+        with pytest.raises(ValueError, match=message):
+            window_deviation_probs(substream(72).standard_normal(50), windows, self.PLANS, 0.5, 0.3)
+
+    def test_too_few_generators_raise_naming_the_count(self):
+        values, windows = substream(72).standard_normal(50), [(0, 20), (5, 20), (0, 50)]
+        with pytest.raises(ValueError, match=r"rngs holds fewer generators \(2\) than windows \(3\)"):
+            window_deviation_probs(values, windows, self.PLANS, 0.5, 0.3, 10, iter([substream(1), substream(2)]))

@@ -123,9 +123,14 @@ class TestTuningError:
     @pytest.mark.parametrize("budget", [None, 5000, 1])
     @pytest.mark.parametrize("n_boot", [None, 60])
     def test_stacked_windows_equal_per_window_calls(self, monkeypatch, n_boot, budget):
-        # All 264 subsamples of n = 300 (M = 37), in one kernel call, 13 windows a call, or one.
+        # The full series and all 264 subsamples of n = 300 (M = 37): a full-series window charges 900 values (3 cells
+        # to a block length), so that is one kernel call holding both lengths, 5 windows a call (the first holding both
+        # lengths, the subsamples split over 53 calls), or one window a call.
         if budget is not None:
             monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        kernel = estimators.count_sum_tails
+        made = []
+        monkeypatch.setattr(estimators, "count_sum_tails", lambda *args: made.append(1) or kernel(*args))
         values, n, m = substream(55).standard_normal(300), 300, 37
         cfg = make_cfg(c1_grid=(0.5, 1.0, 2.0), c2_grid=(0.5, 1.0, 2.0), n_boot=n_boot, subsample_len=None, subsample_count=0)
         diags = [d for d in grid_diagnostics(values, cfg) if d.plan is not None]
@@ -139,6 +144,27 @@ class TestTuningError:
         deviations = [[abs(g_sub - g) ** cfg.rho for g_sub, g in zip(probs(start, m), g_full)] for start in range(n - m + 1)]
         assert len(diags) == 9 and [d.full_sample_prob for d in diags] == g_full
         assert [d.err for d in diags] == [float(np.mean(cell)) for cell in zip(*deviations)]
+        assert len(made) == {None: 1, 5000: 53, 1: 265}[budget] + 1 + (n - m + 1)  # and one per per-window call
+
+    def test_single_block_grid_splits_into_bounded_batches(self, monkeypatch):
+        # b = 1 laws put no rows in a kernel stack, so the window counts alone set the batch: 2,000 values hold 6 of
+        # the 151 windows of M = 150 (300 values each, the full series' charge), never all of them.
+        values, budget = substream(56).standard_normal(300), 2000
+        cfg = make_cfg(c1_grid=(0.25,), c2_grid=(1.0, 2.0), n_boot=None, subsample_len=150, subsample_count=0)
+        expected = grid_diagnostics(values, cfg)
+        assert all(d.plan.n_blocks == 1 for d in expected)
+        monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        counted, sizes = estimators.window_counts, []
+
+        def recorded(*args):
+            counts = counted(*args)
+            sizes.append(counts.size)
+            return counts
+
+        monkeypatch.setattr(estimators, "window_counts", recorded)
+        assert grid_diagnostics(values, cfg) == expected
+        # 26 batches, a pass per block length and window length; the first batch also holds the full series.
+        assert len(sizes) == 2 * 26 + 2 and max(sizes) <= budget
 
     def test_degenerate_constants_raise(self):
         values = substream(54).standard_normal(64)
