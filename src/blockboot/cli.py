@@ -16,13 +16,12 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter
 
 import yaml
 
-from . import harness
+from . import estimators, harness
 from .models import model_from_name
-from .resample import ResourceLimitError, tails_stack_size
+from .resample import ResourceLimitError
 from .tuning import default_subsample_len, plan_from_constants
 
 
@@ -201,6 +200,13 @@ def _check_tune(cfg: harness.ExperimentConfig) -> None:
             raise ConfigError(f"config key {key!r} gives no valid plan at the subsample length {m}")
 
 
+def _tune_plans(cfg: harness.ExperimentConfig) -> dict:
+    """``{window length: plans}`` of tune's windows, over the cells valid at both the full-series and the subsample length."""
+    sizes = (cfg.n, default_subsample_len(cfg.n) if cfg.subsample_len is None else cfg.subsample_len)
+    c1s, c2s = ([c for c in values if not any(_degenerate(size, key, c) for size in sizes)] for key, values in (("c1_grid", cfg.c1_grid), ("c2_grid", cfg.c2_grid)))
+    return {size: [plan_from_constants(size, c1, c2) for c1 in c1s for c2 in c2s] for size in sizes}
+
+
 def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
     """Raise ResourceLimitError, naming the key (the first of equals), when the largest allocation of a run reading ``read`` at ``sizes`` exceeds ``_MAX_ALLOCATION``."""
     series = min(cfg.ref_sims, harness._REF_CHUNK) if "ref_replications" in read else 1  # simulated at once: a reference chunk, or a replication's
@@ -210,11 +216,10 @@ def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
         "n_list" if "n_list" in read else "n": series * max(sizes),
         "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
-        "grid": max((max(n * max(Counter(q.block_length for q in plans).values()), tails_stack_size(plans)) for n, plans in grids), default=0),
+        "grid": max((estimators.window_stack_size(n, plans) for n, plans in grids), default=0),
     }
-    if "c1_grid" in read:  # tune stacks windows up to a fixed budget, or holds one window alone: at most the full series' cells × n
-        plans = [plan_from_constants(cfg.n, c1, c2) for c1 in cfg.c1_grid for c2 in cfg.c2_grid]
-        allocations["c1_grid"] = max(tails_stack_size(plans), len(plans) * cfg.n)
+    if "c1_grid" in read:  # tune batches windows up to a fixed budget, or holds one window alone: the full series or a subsample
+        allocations["c1_grid"] = max(estimators.window_stack_size(size, plans) for size, plans in _tune_plans(cfg).items())
     key, size = max(allocations.items(), key=lambda item: item[1])
     if size > _MAX_ALLOCATION:
         raise ResourceLimitError(f"config key {key!r} asks for {size} values in one allocation, over the limit of {_MAX_ALLOCATION}")

@@ -39,6 +39,7 @@ __all__ = [
     "quantile_deviation_probs",
     "cdf_deviation_probs",
     "window_deviation_probs",
+    "window_stack_size",
 ]
 
 # Values in the largest array of one window_deviation_probs batch (2 MB of float64).  On tune's 25 default cells,
@@ -115,8 +116,11 @@ def _quantile_stack(stack, plans, p: float, x: float, width=None) -> tuple:
 
 
 def _spans(n: int, windows, plans: dict) -> np.ndarray:
-    """``windows`` as a ``(count, 2)`` array of ``(start, length)``; ``ValueError`` names one outside ``n`` values or without plans."""
-    spans = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+    """``windows`` as a ``(count, 2)`` array of ``(start, length)``; ``ValueError`` if they are not pairs, or naming one outside ``n`` values or without plans."""
+    try:
+        spans = np.asarray(windows, dtype=np.int64).reshape(len(windows), 2)
+    except ValueError:
+        raise ValueError("windows must be a sequence of (start, length) pairs") from None
     for start, length in spans.tolist():
         if not (0 <= start and 1 <= length <= n - start):
             raise ValueError(f"window {(start, length)} does not lie within the {n} values of the series")
@@ -125,16 +129,21 @@ def _spans(n: int, windows, plans: dict) -> np.ndarray:
     return spans
 
 
-def _window_size(length: int, plans) -> int:
-    """The most values a window of ``length`` adds to an array of its batch: its largest block length's counts, or its tails."""
-    return max(length * max(map(len, _by_block_length(length, plans).values()), default=1), tails_stack_size(plans))
+def window_stack_size(n: int, plans) -> int:
+    """The most values a grid call with ``plans`` on ``n`` values holds in one array.
+
+    That is ``n`` values for each of the most plans sharing a block length (their window counts; at least the ``n``
+    values themselves), or the :func:`~blockboot.resample.tails_stack_size` kernel stack.  It sets
+    :func:`window_deviation_probs`' batch and the command line's size charges.
+    """
+    return max(n * max(map(len, _by_block_length(n, plans).values()), default=1), tails_stack_size(plans))
 
 
 def window_deviation_probs(series, windows, plans: dict, p: float, x: float, n_boot: int | None = None, rngs=None) -> list:
     """:func:`quantile_deviation_probs` on each window ``(start, length)`` of ``series`` with the plans ``plans[length]``.
 
     One array per window, in order; with ``n_boot``, window ``i`` draws from the ``i``-th generator of the iterable
-    ``rngs``.  A batch of as many windows as keep every array under ``_STACK_BUDGET`` values (see :func:`_window_size`),
+    ``rngs``.  A batch of as many windows as keep every array under ``_STACK_BUDGET`` values (see :func:`window_stack_size`),
     or of one window, makes one :func:`_quantile_stack` pass per window length, on the stack of those windows, and one
     :func:`count_sum_tails` call; a window's values do not depend on the others.  A window outside the series or
     without plans, or too few generators, raises ``ValueError``.
@@ -143,7 +152,7 @@ def window_deviation_probs(series, windows, plans: dict, p: float, x: float, n_b
     spans = _spans(values.size, windows, plans)
     lengths = set(spans[:, 1].tolist())
     width = _width([plan for length in lengths for plan in plans[length]])
-    batch = max(1, _STACK_BUDGET // max([1, *(_window_size(length, plans[length]) for length in lengths)]))
+    batch = max(1, _STACK_BUDGET // max([1, *(window_stack_size(length, plans[length]) for length in lengths)]))
     rngs, out = None if rngs is None else iter(rngs), []
     for first in range(0, len(spans), batch):
         chunk = spans[first : first + batch]

@@ -87,6 +87,7 @@ class TestConfigErrors:
 
 
 TUNE = dict(n=64, replications=4, bootstrap_samples=20, c2_grid=[1.0], subsample_len=27, subsample_count=3)
+TUNE_DEFAULT_GRID = dict(replications=4, bootstrap_samples=20, subsample_count=3)  # the default c1 and c2 grids and subsample length
 
 # (subcommand, config entries over tiny_entries(), text the error must hold)
 MALFORMED = {
@@ -266,8 +267,10 @@ OVERSIZED = {
     "grid kernel stack": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_096)]}), "'grid'"),
     # 6 full-series cells whose laws have FFT size 2**24: 100,663,296 values, however few windows share a call; 5 fit.
     "tune kernel stack": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(6)]), "'c1_grid'"),
-    # A window held alone charges the full series' cells × n: 2 × 50,000,001 values; n = 50,000,000 fits (KERNEL_STACKS).
+    # A window held alone charges the window counts of its cells sharing a block length: 2 × 50,000,001 values; n = 50,000,000 fits (KERNEL_STACKS).
     "tune window counts": ("tune", dict(TUNE, n=50_000_001, c1_grid=[1.0, 2.0]), "'c1_grid'"),
+    # The default 5×5 grid spans five block lengths, each shared by the five c1 cells: 5 × 20,000,001 values; 20,000,000 fits.
+    "tune default grid window counts": ("tune", dict(TUNE_DEFAULT_GRID, n=20_000_001), "'c1_grid'"),
 }
 
 # Configs one step under the kernel-stack and tune window-count cases of OVERSIZED, and the default grid at n = 100,000 (820 plans,
@@ -276,6 +279,8 @@ KERNEL_STACKS = {
     "grid": ("mse-grid", dict(grid={"cells": [[b, 2] for b in range(300_000, 300_095)]})),
     "tune": ("tune", dict(TUNE, c1_grid=[524289.25 + c for c in range(5)])),
     "tune window counts": ("tune", dict(TUNE, n=50_000_000, c1_grid=[1.0, 2.0])),
+    "tune default grid": ("tune", dict(TUNE_DEFAULT_GRID, n=20_000_000)),
+    "tune default grid at n = 5,000,000": ("tune", dict(TUNE_DEFAULT_GRID, n=5_000_000)),
     "default grid mse-grid": ("mse-grid", dict(n=100_000, grid=None)),
     "default grid coverage-grid": ("coverage-grid", dict(n=100_000, grid=None, alpha=0.9, x=None, ref_value=None)),
 }

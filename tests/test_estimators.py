@@ -400,12 +400,23 @@ class TestWindowDeviationProbs:
             ([(45, 20)], r"window \(45, 20\) does not lie within the 50 values"),
             ([(0, 20), (-1, 20)], r"window \(-1, 20\) does not lie within the 50 values"),
             ([(0, 20), (0, 30)], r"window \(0, 30\) has no plans"),
+            ([0, 20, 5, 20], r"windows must be a sequence of \(start, length\) pairs"),
+            ([(0, 20, 5), (1, 2, 3)], r"windows must be a sequence of \(start, length\) pairs"),
+            ([(0, 20), (5,)], r"windows must be a sequence of \(start, length\) pairs"),
         ],
-        ids=["past the end", "negative start", "length without plans"],
+        ids=["past the end", "negative start", "length without plans", "flat", "triples", "ragged"],
     )
     def test_bad_window_raises_naming_it(self, windows, message):
         with pytest.raises(ValueError, match=message):
             window_deviation_probs(substream(72).standard_normal(50), windows, self.PLANS, 0.5, 0.3)
+
+    def test_windows_without_plans_split_into_bounded_batches(self, monkeypatch):
+        # A length with no plans still stacks its windows' values: 100 values hold 5 windows of 20, so 31 take 7 batches.
+        monkeypatch.setattr(estimators, "_STACK_BUDGET", 100)
+        stack, sizes = estimators._quantile_stack, []
+        monkeypatch.setattr(estimators, "_quantile_stack", lambda values, *args: sizes.append(values.size) or stack(values, *args))
+        got = window_deviation_probs(substream(73).standard_normal(50), [(start, 20) for start in range(31)], {20: []}, 0.5, 0.3)
+        assert [g.size for g in got] == [0] * 31 and len(sizes) == 7 and max(sizes) <= 100
 
     def test_too_few_generators_raise_naming_the_count(self):
         values, windows = substream(72).standard_normal(50), [(0, 20), (5, 20), (0, 50)]
