@@ -209,11 +209,13 @@ def _tune_plans(cfg: harness.ExperimentConfig) -> dict:
 
 def _check_size(cfg: harness.ExperimentConfig, read: set, sizes) -> None:
     """Raise ResourceLimitError, naming the key (the first of equals), when the largest allocation of a run reading ``read`` at ``sizes`` exceeds ``_MAX_ALLOCATION``."""
-    series = min(cfg.ref_sims, harness._REF_CHUNK) if "ref_replications" in read else 1  # simulated at once: a reference chunk, or a replication's
+    # Simulated at once: a reference chunk, or a stack of a replication chunk's series.
+    stacks = [min(cfg.n_reps, harness._stack_rows(n)) * n for n in sizes if "replications" in read]
+    reference = [min(cfg.ref_sims, harness._REF_CHUNK) * max(sizes)] if "ref_replications" in read else []
     # A grid call holds the window counts of the plans sharing a block length, and count_sum_tails one row per plan.
     grids = [(n, cfg.grid.plans(n)) for n in sizes if "grid" in read]
     allocations = {
-        "n_list" if "n_list" in read else "n": series * max(sizes),
+        "n_list" if "n_list" in read else "n": max([max(sizes), *stacks, *reference]),
         "replications": -(-cfg.n_reps // harness._REP_CHUNK),  # the chunk-task lists
         "ref_replications": -(-cfg.ref_sims // harness._REF_CHUNK),
         "grid": max((estimators.window_stack_size(n, plans) for n, plans in grids), default=0),
@@ -364,13 +366,11 @@ EXPERIMENTS = tuple(_COMMANDS)
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockboot", description="Block bootstrap Monte Carlo experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS + ("run",):
-        cmd = sub.add_parser(name, help=f"{name} experiment" if name != "run" else "dispatch on the 'experiment' config key")
-        cmd.add_argument("--config", required=True, help="path to a YAML config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-        cmd.add_argument("--workers", type=int, default=None, help="override the worker count")
-        cmd.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("command", choices=EXPERIMENTS + ("run",), help="the experiment to run; 'run' dispatches on the 'experiment' config key")
+    parser.add_argument("--config", required=True, help="path to a YAML config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--workers", type=int, default=None, help="override the worker count")
+    parser.add_argument("--out", default=None, help="override the output directory")
     return parser
 
 

@@ -177,9 +177,16 @@ def quantile_deviation_probs(series, plans, p: float, x: float, n_boot: int | No
 
     Exact with ``n_boot=None``; else ``Binomial(n_boot, G) / n_boot`` around each plan's exact ``G``, drawn in plan order
     from ``rng``: in law ``bootstrap_quantile_distribution(...).cdf(x)``.  A NaN ``x`` raises ``ValueError``.
+
+    A 2-d ``series`` is a stack of series, one row of probabilities each, and ``rng`` then holds one generator per row:
+    the rows are :func:`window_deviation_probs`' windows, batched up to ``_STACK_BUDGET`` values, and each row equals
+    its one-row call.  A 1-d ``series`` is the one-row case.
     """
-    pmfs, k = _quantile_stack(as_values(series)[None], plans, p, x)
-    return _monte_carlo(count_sum_tails(pmfs, plans, k), n_boot, rng)
+    stack = np.asarray(series, dtype=float)
+    if stack.ndim != 2:
+        return quantile_deviation_probs(as_values(stack)[None], plans, p, x, n_boot, [rng])[0]
+    rows, n = stack.shape
+    return np.array(window_deviation_probs(stack.ravel(), [(i * n, n) for i in range(rows)], {n: plans}, p, x, n_boot, rng))
 
 
 def cdf_deviation_probs(series, plans, x: float, y: float, n_boot: int | None = None, rng=None) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Monte Carlo experiment engine: reference values, error grids, rate and tuning studies.
 
 Every experiment follows the same protocol: simulate ``n_reps`` independent
-series, evaluate a bootstrap estimator on each over a grid of block plans
-(one :mod:`~blockboot.estimators` call per series), and aggregate per-cell
-metrics against a reference value obtained from a separate massive
-simulation.  The three surfaces (MSE, CDF MSE, coverage) share one driver
-and differ only in the per-replication quantity; the coverage surface reads
-whether each bound covers from one exact tail per cell, never the bound
-itself.  Seeding is hierarchical: each replication's series and the one
-generator its estimates (point estimates or bound levels) draw from in plan
-order derive from the master seed and the replication alone: bit-identical
-for any worker count.
+series, evaluate a bootstrap estimator on each over a grid of block plans,
+and aggregate per-cell metrics against a reference value obtained from a
+separate massive simulation.  Replications run in chunks of ``_REP_CHUNK``:
+a chunk simulates its series as the rows of one stack, one recursion for
+up to ``_STACK_BUDGET`` values, each row from its replication's own
+generator.  The point estimates of a stack are one
+:mod:`~blockboot.estimators` call, batched by the same budget; the other
+estimators take one call per series.  The three surfaces (MSE, CDF MSE,
+coverage) share one driver and differ only in the per-replication
+quantity; the coverage surface reads whether each bound covers from one
+exact tail per cell, never the bound itself.  Seeding is hierarchical:
+each replication's series and the one generator its estimates (point
+estimates or bound levels) draw from in plan order derive from the master
+seed and the replication alone: bit-identical for any worker count.
 
 Grids default to ``n_blocks`` 1..40 by even ``block_length`` 2..40
 intersected with ``n_blocks * block_length <= n``, extended with the
@@ -32,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, empirical, models, seeding
+from . import __version__, empirical, estimators, models, seeding
 from .empirical import order_stat_index
 from .estimators import cdf_deviation_probs, lower_bounds_cover, quantile_deviation_probs
 from .models import ModelSpec, simulate_batch
@@ -316,23 +320,33 @@ def _add(total, sums):
     return sums if total is None else tuple(t + s for t, s in zip(total, sums))
 
 
+def _stack_rows(n: int) -> int:
+    """The most series of length ``n`` a replication chunk simulates at once: those that fit ``_STACK_BUDGET`` values, one at least."""
+    return min(_REP_CHUNK, max(1, estimators._STACK_BUDGET // n))
+
+
 def _replicate_chunk(task, lo, hi):
     cfg, per_rep, args = task
     total = None
-    for rep in range(lo, hi):
-        series = simulate_batch(cfg.model, cfg.n, 1, substream(replication_seed(cfg.master_seed, rep)))[0]
-        total = _add(total, per_rep(cfg, series, rep, *args))
+    rows = _stack_rows(cfg.n)
+    for first in range(lo, hi, rows):
+        reps = range(first, min(first + rows, hi))
+        stack = simulate_batch(cfg.model, cfg.n, len(reps), [substream(replication_seed(cfg.master_seed, rep)) for rep in reps])
+        for sums in per_rep(cfg, stack, reps, *args):
+            total = _add(total, sums)
     return total
 
 
 def _replicate(cfg: ExperimentConfig, per_rep, *args) -> tuple:
-    """Sum ``per_rep(cfg, series, rep, *args)`` over the ``cfg.n_reps`` replications.
+    """Sum, over the ``cfg.n_reps`` replications, the tuples ``per_rep(cfg, stack, reps, *args)`` yields.
 
-    ``per_rep`` is a module-level function (the pool pickles it) returning a
-    tuple of per-cell arrays or scalars for the series of replication ``rep``.
-    Each fixed ``_REP_CHUNK`` chunk sums them in replication order, and the
-    chunk sums are added in chunk order, so the totals are bit-identical for
-    every worker count.
+    ``per_rep`` is a module-level function (the pool pickles it) given the
+    series of the replications ``reps`` as the rows of ``stack``; it yields
+    one tuple of per-cell arrays or scalars per row, in order.  Each fixed
+    ``_REP_CHUNK`` chunk simulates its series in stacks of at most
+    ``_STACK_BUDGET`` values (one row at least) and sums the tuples in
+    replication order, and the chunk sums are added in chunk order, so the
+    totals are bit-identical for every worker count.
     """
     chunks = _run_chunked(_replicate_chunk, (cfg, per_rep, args), cfg.n_reps, cfg.workers, _REP_CHUNK)
     return functools.reduce(_add, chunks, None)
@@ -349,32 +363,38 @@ def _squared_errors(estimates, g_ref):
     return d2, d2 * d2
 
 
-def _point_draws(cfg, rep) -> tuple:
-    """``(n_boot, rng)`` of replication ``rep``'s estimates, one generator for all cells; ``(None, None)`` when ``cfg.exact``."""
-    return (None, None) if cfg.exact else (cfg.n_boot, substream(cfg.master_seed, _TAG_POINT, rep))
+def _point_draws(cfg, reps) -> tuple:
+    """``(n_boot, rngs)`` of the estimates of replications ``reps``, one generator per replication for all its cells; no generators when ``cfg.exact``."""
+    return (None, [None] * len(reps)) if cfg.exact else (cfg.n_boot, [substream(cfg.master_seed, _TAG_POINT, rep) for rep in reps])
 
 
-def _mse_rep(cfg, series, rep, plans, g_ref):
-    return _squared_errors(quantile_deviation_probs(series, plans, cfg.p, cfg.x, *_point_draws(cfg, rep)), g_ref)
+def _mse_rep(cfg, stack, reps, plans, g_ref):
+    for g in quantile_deviation_probs(stack, plans, cfg.p, cfg.x, *_point_draws(cfg, reps)):
+        yield _squared_errors(g, g_ref)
 
 
-def _cdf_mse_rep(cfg, series, rep, plans, g_ref):
-    return _squared_errors(cdf_deviation_probs(series, plans, cfg.x, cfg.y, *_point_draws(cfg, rep)), g_ref)
+def _cdf_mse_rep(cfg, stack, reps, plans, g_ref):
+    n_boot, rngs = _point_draws(cfg, reps)
+    for series, rng in zip(stack, rngs):
+        yield _squared_errors(cdf_deviation_probs(series, plans, cfg.x, cfg.y, n_boot, rng), g_ref)
 
 
-def _coverage_rep(cfg, series, rep, plans, q_true):
-    # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
-    hits = lower_bounds_cover(series, plans, cfg.p, cfg.alpha, q_true, *_point_draws(cfg, rep)).astype(np.int64)
-    return hits, hits
+def _coverage_rep(cfg, stack, reps, plans, q_true):
+    n_boot, rngs = _point_draws(cfg, reps)
+    for series, rng in zip(stack, rngs):
+        # int64 counts: adding bool arrays would be a logical or.  A 0/1 hit is its own square.
+        hits = lower_bounds_cover(series, plans, cfg.p, cfg.alpha, q_true, n_boot, rng).astype(np.int64)
+        yield hits, hits
 
 
-def _tune_rep(cfg, series, rep, tune_cfg, g_ref):
-    diags = grid_diagnostics(series, replace(tune_cfg, seed=tuning_replication_seed(cfg.master_seed, rep)))
-    best = argmin_cell(diags)
-    d2, d4 = _squared_errors([d.full_sample_prob for d in diags], g_ref)
-    selected = (np.arange(len(diags)) == best).astype(np.int64)
-    err = np.array([d.err for d in diags])
-    return err, err**2, d2, d4, selected, d2[best], d4[best]
+def _tune_rep(cfg, stack, reps, tune_cfg, g_ref):
+    for series, rep in zip(stack, reps):
+        diags = grid_diagnostics(series, replace(tune_cfg, seed=tuning_replication_seed(cfg.master_seed, rep)))
+        best = argmin_cell(diags)
+        d2, d4 = _squared_errors([d.full_sample_prob for d in diags], g_ref)
+        selected = (np.arange(len(diags)) == best).astype(np.int64)
+        err = np.array([d.err for d in diags])
+        yield err, err**2, d2, d4, selected, d2[best], d4[best]
 
 
 def _surface(cfg: ExperimentConfig, per_rep, target, metric: str) -> GridResult:

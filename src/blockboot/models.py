@@ -143,10 +143,17 @@ def _stationary_start_chol(ar: tuple, ma: tuple) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
+def _by_row(rng, count: int, draw) -> np.ndarray:
+    """``draw(rng, count)`` from one generator; from a sequence of generators, row ``i`` is ``draw(rng[i], 1)``."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng, count)
+    return np.concatenate([draw(r, 1) for r in rng])
+
+
 def _arma_batch(ar, ma, n, count, rng):
     p, q = len(ar), len(ma)
     chol = _stationary_start_chol(tuple(ar), tuple(ma))
-    state = rng.standard_normal((count, p + q)) @ chol.T
+    state = _by_row(rng, count, lambda r, rows: r.standard_normal((rows, p + q)) @ chol.T)
 
     # Time-major buffers, one column per series: the rows of x hold
     # X_{1-p}, ..., X_0, X_1, ..., X_n and the rows of e hold
@@ -156,7 +163,7 @@ def _arma_batch(ar, ma, n, count, rng):
     e = np.empty((q + n, count))
     x[:p] = state[:, :p][:, ::-1].T
     e[:q] = state[:, p:][:, ::-1].T
-    e[q:] = rng.standard_normal((count, n)).T
+    e[q:] = _by_row(rng, count, lambda r, rows: r.standard_normal((rows, n))).T
     for t in range(n):
         acc = e[q + t].copy()
         for j, theta in enumerate(ma, start=1):
@@ -176,7 +183,7 @@ def _poly_mixing_batch(nu, n_terms, n, count, rng):
     from scipy.signal import fftconvolve
 
     coeffs = _poly_coeffs(nu, n_terms)
-    z = rng.standard_normal((count, n + n_terms - 1))
+    z = _by_row(rng, count, lambda r, rows: r.standard_normal((rows, n + n_terms - 1)))
     return fftconvolve(z, coeffs[None, :], mode="valid", axes=1)
 
 
@@ -228,17 +235,22 @@ def model_from_name(name: str, nu: float | None = None, n_terms: int | None = No
     raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
 
-def simulate_batch(model: ModelSpec, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def simulate_batch(model: ModelSpec, n: int, count: int, rng) -> np.ndarray:
     """Simulate ``count`` independent length-``n`` sample paths.
 
-    Returns an array of shape ``(count, n)``.  Rows are mutually independent;
-    the draw layout is fixed, so a given generator state determines the
-    output bit for bit.
+    Returns an array of shape ``(count, n)``, one recursion over all rows.
+    ``rng`` is one generator, or a sequence of ``count`` generators, one per
+    row.  Rows are mutually independent and the draw layout is fixed, so the
+    generators' states determine the output bit for bit: one generator draws
+    every row's start state, then every row's innovations; with one generator
+    per row, row ``i`` equals ``simulate_batch(model, n, 1, rng[i])[0]``.
     """
     if n < 1:
         raise ValueError("series length n must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not isinstance(rng, np.random.Generator) and len(rng) != count:
+        raise ValueError(f"expected one generator or {count} generators, one per row, got {len(rng)}")
     if model.kind in ("arma11", "arma23sq"):
         x = _arma_batch(model.params["ar"], model.params["ma"], n, count, rng)
         return x**2 if model.kind == "arma23sq" else x

@@ -340,6 +340,16 @@ class TestDispatch:
     def test_every_subcommand_has_an_entry_point(self):
         assert sorted(ENTRY_POINTS) == sorted(cli.EXPERIMENTS)
 
+    @pytest.mark.parametrize("argv", [["frobnicate", "--config", "c.yaml"], ["mse-grid"], []], ids=["unknown command", "no config", "nothing"])
+    def test_bad_command_line_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "usage: blockboot" in capsys.readouterr().err
+
+    def test_options_may_precede_the_command(self):
+        args = cli.make_parser().parse_args(["--seed", "4", "--config", "c.yaml", "run", "--workers", "2"])
+        assert (args.command, args.config, args.seed, args.workers, args.out) == ("run", "c.yaml", 4, 2, None)
+
     @pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
     def test_runs_the_harness_attribute_at_call_time(self, tmp_path, monkeypatch, command):
         name, overrides = ENTRY_POINTS[command]

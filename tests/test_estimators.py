@@ -376,6 +376,26 @@ class TestLowerBoundsCover:
         assert 0 < len(rows) <= math.ceil(math.log2(self.N - 1)) and rows[0] == len(self.PLANS) and rows == sorted(rows, reverse=True)
 
 
+class TestStackedPointEstimates:
+    """Each row of a 2-d :func:`quantile_deviation_probs` call is the one-row call on that series with its own generator."""
+
+    @pytest.mark.parametrize("budget", [None, 7000])
+    @pytest.mark.parametrize("n_boot", [None, 2000])
+    def test_rows_equal_one_row_calls(self, monkeypatch, n_boot, budget):
+        # The default grid at n = 60 holds 3,264 values a series (its kernel stack): a budget of 7,000 takes two a batch.
+        stack, plans, calls = substream(90).standard_normal((7, 60)), GridSpec().plans(60), []
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        tails = estimators.count_sum_tails
+        monkeypatch.setattr(estimators, "count_sum_tails", lambda pmfs, *args: calls.append(len(pmfs)) or tails(pmfs, *args))
+        rngs = None if n_boot is None else [substream(91, i) for i in range(7)]
+        got = quantile_deviation_probs(stack, plans, 0.5, 0.3, n_boot, rngs)
+        assert calls == ([2 * len(plans)] * 3 + [len(plans)] if budget else [7 * len(plans)])
+        assert got.shape == (7, len(plans))
+        for i, series in enumerate(stack):
+            assert got[i].tolist() == quantile_deviation_probs(series, plans, 0.5, 0.3, n_boot, None if n_boot is None else substream(91, i)).tolist()
+
+
 class TestWindowDeviationProbs:
     """Each window's values are a :func:`quantile_deviation_probs` call on its slice, whatever the windows around it."""
 

@@ -22,7 +22,7 @@ from blockboot.harness import (
     reference_value,
     replication_seed,
 )
-from blockboot.models import ModelSpec, arma11_model, constant_model, simulate_batch, squared_arma23_model
+from blockboot.models import ModelSpec, arma11_model, constant_model, poly_mixing_model, simulate_batch, squared_arma23_model
 from blockboot.estimators import lower_confidence_bounds, quantile_deviation_probs
 from blockboot.resample import BlockPlan
 from blockboot.seeding import substream
@@ -175,6 +175,17 @@ class TestMseGrid:
                 acc += (estimate - 0.6) ** 2
             assert result.rows[ci].value == acc / 15
 
+    def test_monte_carlo_mode_matches_flat_loop(self):
+        # 33 replications: a full chunk of 32 and a partial one, each summing its stacked estimates in replication order.
+        cells = ((2, 2), (1, 3), (3, 4))
+        cfg = tiny_config(n=12, grid=GridSpec(cells=cells), n_reps=33, n_boot=50, ref_value=0.6)
+        plans = [BlockPlan(b, ell) for b, ell in cells]
+        acc = np.zeros(len(cells))
+        for rep in range(33):
+            series = simulate_batch(cfg.model, 12, 1, substream(replication_seed(11, rep)))[0]
+            acc += (quantile_deviation_probs(series, plans, 0.5, 1.0, 50, substream(11, harness._TAG_POINT, rep)) - 0.6) ** 2
+        assert [row.value for row in mse_grid(cfg).rows] == list(acc / 33)
+
     def test_min_row_helpers(self):
         cfg = tiny_config(n=40, grid=GridSpec(b_max=10, ell_min=2, ell_max=8))
         result = mse_grid(cfg)
@@ -184,6 +195,30 @@ class TestMseGrid:
         assert sub.n_blocks == 1
         mbb = result.mbb_min()
         assert mbb.n_blocks == 40 // mbb.block_length
+
+
+def _record_series(cfg, stack, reps, seen):
+    seen.append((list(reps), stack.copy()))
+    return [(len(reps),)] * len(reps)
+
+
+class TestReplicationChunks:
+    @pytest.mark.parametrize("budget", [None, 600])
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("model", [arma11_model(), squared_arma23_model(), poly_mixing_model(), constant_model(1.5)], ids=lambda m: m.kind)
+    def test_chunk_rows_equal_one_replication_calls(self, monkeypatch, model, n, budget):
+        # 33 replications: a chunk of 32 series and a partial one; a budget of 600 values stacks 3 series of 200 at a time.
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_STACK_BUDGET", budget)
+        seen = []
+        cfg = ExperimentConfig(model=model, n=n, n_reps=33, master_seed=4)
+        assert harness._replicate(cfg, _record_series, seen) == (sum(len(reps) ** 2 for reps, _ in seen),)
+        rows = 3 if budget is not None and n == 200 else 32
+        assert [len(reps) for reps, _ in seen] == [rows] * (32 // rows) + ([32 % rows] if 32 % rows else []) + [1]
+        assert [rep for reps, _ in seen for rep in reps] == list(range(33))
+        for reps, stack in seen:
+            for rep, series in zip(reps, stack):
+                assert (series == simulate_batch(model, n, 1, substream(replication_seed(4, rep)))[0]).all()
 
 
 class TestExactGrids:
