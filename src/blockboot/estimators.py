@@ -97,8 +97,8 @@ def _bound(q_hat, m, v, center, n):
     return q_hat - np.sqrt(m) * (v - center) / np.sqrt(n)
 
 
-def _quantile_stack(stack, plans, p: float, x: float, width=None) -> tuple:
-    """The pmf rows and tail indices ``k`` of the quantile deviation at ``x`` per (row of ``stack``, plan), series-major.
+def _quantile_stack(stack, plans, p: float, x: float, width: int) -> tuple:
+    """The ``width``-wide pmf rows and tail indices ``k`` of the quantile deviation at ``x`` per (row of ``stack``, plan), series-major.
 
     With ``plans`` once per row of the 2-d ``stack``, they make a :func:`count_sum_tails` call.  Each row is sorted once
     for its centers, and the rows' window counts at a block length are one stacked pass.
@@ -106,7 +106,6 @@ def _quantile_stack(stack, plans, p: float, x: float, width=None) -> tuple:
     _check_points(x=x)
     rows, n = stack.shape
     groups = _by_block_length(n, plans)
-    width = width or _width(plans)
     pmfs = np.empty((rows, len(plans), width))
     for (ell, cells), centers in zip(groups.items(), block_averaged_quantiles(stack, list(groups), p).T):
         scales = np.sqrt([plan.n_blocks * ell for _, plan in cells])

@@ -213,8 +213,7 @@ class TestReplicationChunks:
         seen = []
         cfg = ExperimentConfig(model=model, n=n, n_reps=33, master_seed=4)
         assert harness._replicate(cfg, _record_series, seen) == (sum(len(reps) ** 2 for reps, _ in seen),)
-        rows = 3 if budget is not None and n == 200 else 32
-        assert [len(reps) for reps, _ in seen] == [rows] * (32 // rows) + ([32 % rows] if 32 % rows else []) + [1]
+        assert [len(reps) for reps, _ in seen] == ([3] * 10 + [2, 1] if budget is not None and n == 200 else [32, 1])
         assert [rep for reps, _ in seen for rep in reps] == list(range(33))
         for reps, stack in seen:
             for rep, series in zip(reps, stack):

@@ -143,14 +143,7 @@ class TestBitExactOracle:
 
 
 class TestPerRowGenerators:
-    @pytest.mark.parametrize("n", [1, 200])
-    @pytest.mark.parametrize("model", [arma11_model(), squared_arma23_model(), poly_mixing_model(), constant_model(1.5)], ids=lambda m: m.kind)
-    def test_rows_equal_one_row_batches(self, model, n):
-        rows = simulate_batch(model, n, 5, [substream(81, i) for i in range(5)])
-        assert rows.shape == (5, n)
-        for i, row in enumerate(rows):
-            assert (row == simulate_batch(model, n, 1, substream(81, i))[0]).all()
-
+    # tests/test_harness.py::TestReplicationChunks checks each row against its one-row batch, for every model kind.
     def test_generator_count_must_match_rows(self):
         with pytest.raises(ValueError, match="3 generators, one per row, got 2"):
             simulate_batch(arma11_model(), 10, 3, [substream(1), substream(2)])
