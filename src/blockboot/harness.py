@@ -9,7 +9,7 @@ up to ``_STACK_BUDGET`` values, each row from its replication's own
 generator.  The point estimates of a stack are one
 :mod:`~blockboot.estimators` call, batched by the same budget; the other
 estimators take one call per series.  The three surfaces (MSE, CDF MSE,
-coverage) share one driver and differ only in the per-replication
+coverage) share one loop, ``_surface``, and differ only in the per-replication
 quantity; the coverage surface reads whether each bound covers from one
 exact tail per cell, never the bound itself.  Seeding is hierarchical:
 each replication's series and the one generator its estimates (point
